@@ -22,7 +22,7 @@ use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -193,7 +193,7 @@ impl FixFactors {
     }
 }
 
-impl BulkCompensation<FactorRow> for FixFactors {
+impl Compensation<Partitions<FactorRow>> for FixFactors {
     fn compensate(
         &mut self,
         state: &mut Partitions<FactorRow>,
@@ -315,7 +315,7 @@ pub fn run(ratings: &[Rating], config: &AlsConfig) -> Result<AlsResult> {
     let by_item_ds = env.from_keyed_vec(swapped, |t| t.0);
 
     let mut iteration = BulkIteration::new(&factors0, config.sweeps);
-    iteration.set_fault_handler(common::bulk_handler(
+    iteration.set_fault_handler(common::handler(
         &config.ft,
         FixFactors::new(num_nodes, rank, config.seed, config.parallelism),
     )?);

@@ -6,18 +6,16 @@ use std::hash::Hash;
 use dataflow::codec::Codec;
 use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{BulkFaultHandler, DeltaFaultHandler, RestartHandler, SolutionSets};
+use dataflow::ft::{DeltaState, FaultHandler, RestartHandler, SnapshotState, SolutionSets};
 use dataflow::hash::FxHashMap;
 use dataflow::iterate::ConvergenceMeasure;
 use dataflow::partition::hash_partition;
-use recovery::async_snapshot::{AsyncSnapshotBulkHandler, AsyncSnapshotDeltaHandler};
-use recovery::checkpoint::{
-    CheckpointBulkHandler, CheckpointDeltaHandler, CostModel, DiskStore, MemoryStore,
-};
-use recovery::compensation::{BulkCompensation, DeltaCompensation};
+use recovery::async_snapshot::AsyncSnapshotHandler;
+use recovery::checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+use recovery::compensation::Compensation;
 use recovery::ignore::IgnoreHandler;
 use recovery::incremental::IncrementalDeltaHandler;
-use recovery::optimistic::{OptimisticBulkHandler, OptimisticDeltaHandler};
+use recovery::optimistic::OptimisticHandler;
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy;
 use telemetry::SinkHandle;
@@ -36,10 +34,6 @@ pub struct FtConfig {
     /// Telemetry sink shared by the engine and the recovery handlers (the
     /// disabled no-op handle by default).
     pub telemetry: SinkHandle,
-    /// How threaded partition work is dispatched: the persistent worker
-    /// pool (the engine default) or per-invocation scoped threads (the
-    /// `worker_pool_guard` benchmark's comparison baseline).
-    pub dispatch: dataflow::config::DispatchMode,
 }
 
 impl Default for FtConfig {
@@ -50,7 +44,6 @@ impl Default for FtConfig {
             checkpoint_cost: CostModel::instant(),
             checkpoint_on_disk: false,
             telemetry: SinkHandle::disabled(),
-            dispatch: dataflow::config::DispatchMode::Pool,
         }
     }
 }
@@ -96,12 +89,6 @@ impl FtConfig {
         self
     }
 
-    /// Builder-style dispatch-mode override for the engine environment.
-    pub fn with_dispatch(mut self, dispatch: dataflow::config::DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
     /// Combined label for reports, e.g. `"optimistic/fail@3[1]"`.
     pub fn label(&self) -> String {
         format!("{}/{}", self.strategy.label(), self.scenario.label())
@@ -113,124 +100,81 @@ impl FtConfig {
 /// events land in the same sink as the recovery handlers' detail events.
 pub fn environment(parallelism: usize, ft: &FtConfig) -> dataflow::api::Environment {
     dataflow::api::Environment::with_config(
-        dataflow::config::EnvConfig::new(parallelism)
-            .with_telemetry(ft.telemetry.clone())
-            .with_dispatch(ft.dispatch),
+        dataflow::config::EnvConfig::new(parallelism).with_telemetry(ft.telemetry.clone()),
     )
 }
 
-/// Build the bulk-iteration fault handler for a strategy, wiring in the
-/// algorithm's compensation function where the strategy calls for one.
-pub fn bulk_handler<T, C>(ft: &FtConfig, compensation: C) -> Result<Box<dyn BulkFaultHandler<T>>>
-where
-    T: Data + Codec,
-    C: BulkCompensation<T> + 'static,
-{
-    Ok(match ft.strategy {
-        Strategy::Optimistic => {
-            Box::new(OptimisticBulkHandler::new(compensation).with_telemetry(ft.telemetry.clone()))
-        }
-        Strategy::Checkpoint { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::IncrementalCheckpoint { .. } => {
-            return Err(dataflow::error::EngineError::Recovery(
-                "incremental checkpointing requires a delta iteration; use a bulk-capable \
-                 strategy (optimistic / checkpoint / restart) here"
-                    .into(),
-            ))
-        }
-        Strategy::AsyncSnapshot { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotBulkHandler::<T, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
-        }
-        Strategy::Restart => Box::new(RestartHandler),
-        Strategy::Ignore => Box::new(IgnoreHandler),
+/// The stable store a rollback strategy checkpoints into, chosen once from
+/// the configuration.
+fn store(ft: &FtConfig) -> Result<Box<dyn StableStore>> {
+    Ok(if ft.checkpoint_on_disk {
+        Box::new(DiskStore::temp()?.with_cost_model(ft.checkpoint_cost))
+    } else {
+        Box::new(MemoryStore::with_cost_model(ft.checkpoint_cost))
     })
 }
 
-/// Build the delta-iteration fault handler for a strategy.
-pub fn delta_handler<K, V, W, C>(
-    ft: &FtConfig,
-    compensation: C,
-) -> Result<Box<dyn DeltaFaultHandler<K, V, W>>>
+/// Iteration states the strategy dispatch can build handlers for: every
+/// strategy applies to every state except incremental checkpointing, which
+/// needs a delta iteration's solution sets.
+pub trait StrategyState: SnapshotState {
+    /// The incremental-checkpoint handler for this state, if it has one.
+    fn incremental_handler(
+        ft: &FtConfig,
+        full_interval: u32,
+    ) -> Result<Box<dyn FaultHandler<Self>>>;
+}
+
+impl<T: Data + Codec> StrategyState for Partitions<T> {
+    fn incremental_handler(
+        _ft: &FtConfig,
+        _full_interval: u32,
+    ) -> Result<Box<dyn FaultHandler<Self>>> {
+        Err(dataflow::error::EngineError::Recovery(
+            "incremental checkpointing requires a delta iteration; use a bulk-capable \
+             strategy (optimistic / checkpoint / restart) here"
+                .into(),
+        ))
+    }
+}
+
+impl<K, V, W> StrategyState for DeltaState<K, V, W>
 where
-    K: Data + Codec + std::hash::Hash + Eq,
+    K: Data + Codec + Hash + Eq,
     V: Data + Codec + PartialEq,
     W: Data + Codec,
-    C: DeltaCompensation<K, V, W> + 'static,
 {
+    fn incremental_handler(
+        ft: &FtConfig,
+        full_interval: u32,
+    ) -> Result<Box<dyn FaultHandler<Self>>> {
+        Ok(Box::new(
+            IncrementalDeltaHandler::new(store(ft)?, full_interval)
+                .with_telemetry(ft.telemetry.clone()),
+        ))
+    }
+}
+
+/// Build the fault handler for a strategy, wiring in the algorithm's
+/// compensation function where the strategy calls for one.
+pub fn handler<S, C>(ft: &FtConfig, compensation: C) -> Result<Box<dyn FaultHandler<S>>>
+where
+    S: StrategyState,
+    C: Compensation<S> + 'static,
+{
+    let telemetry = ft.telemetry.clone();
     Ok(match ft.strategy {
         Strategy::Optimistic => {
-            Box::new(OptimisticDeltaHandler::new(compensation).with_telemetry(ft.telemetry.clone()))
+            Box::new(OptimisticHandler::new(compensation).with_telemetry(telemetry))
         }
         Strategy::Checkpoint { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    CheckpointDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
+            Box::new(CheckpointHandler::new(store(ft)?, interval).with_telemetry(telemetry))
         }
         Strategy::IncrementalCheckpoint { full_interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    IncrementalDeltaHandler::<K, V, W, _>::new(store, full_interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
+            return S::incremental_handler(ft, full_interval)
         }
         Strategy::AsyncSnapshot { interval } => {
-            if ft.checkpoint_on_disk {
-                let store = DiskStore::temp()?.with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            } else {
-                let store = MemoryStore::with_cost_model(ft.checkpoint_cost);
-                Box::new(
-                    AsyncSnapshotDeltaHandler::<K, V, W, _>::new(store, interval)
-                        .with_telemetry(ft.telemetry.clone()),
-                )
-            }
+            Box::new(AsyncSnapshotHandler::new(store(ft)?, interval).with_telemetry(telemetry))
         }
         Strategy::Restart => Box::new(RestartHandler),
         Strategy::Ignore => Box::new(IgnoreHandler),
@@ -318,7 +262,7 @@ pub const RANK_SUM: &str = "rank_sum";
 mod tests {
     use super::*;
     use dataflow::dataset::Partitions;
-    use dataflow::ft::BulkRecoveryAction;
+    use dataflow::ft::RecoveryAction;
 
     fn noop_comp(_s: &mut Partitions<u64>, _l: &[usize], _i: u32) {}
 
@@ -327,27 +271,24 @@ mod tests {
         let mut state = Partitions::round_robin(vec![1u64, 2], 2);
 
         let ft = FtConfig::optimistic(FailureScenario::none());
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(
-            h.on_failure(0, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Compensated
-        ));
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Compensated));
 
         let ft = FtConfig::restart(FailureScenario::none());
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), BulkRecoveryAction::Restart));
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Restart));
 
         let ft = FtConfig::ignore(FailureScenario::none());
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
-        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), BulkRecoveryAction::Ignore));
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
+        assert!(matches!(h.on_failure(0, &[0], &mut state).unwrap(), RecoveryAction::Ignore));
 
         let ft = FtConfig::checkpoint(2, FailureScenario::none());
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
         assert!(h.after_superstep(0, &state).unwrap().is_some());
         assert!(h.after_superstep(1, &state).unwrap().is_none());
         assert!(matches!(
             h.on_failure(1, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Restored { iteration: 0, .. }
+            RecoveryAction::Restored { iteration: 0, .. }
         ));
 
         // Async snapshots spread chunk writes: with 2 partitions the epoch
@@ -356,25 +297,25 @@ mod tests {
             strategy: Strategy::AsyncSnapshot { interval: 4 },
             ..FtConfig::optimistic(FailureScenario::none())
         };
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
         assert!(h.after_superstep(0, &state).unwrap().is_some());
         assert!(h.after_superstep(1, &state).unwrap().is_some());
         assert!(matches!(
             h.on_failure(2, &[0], &mut state).unwrap(),
-            BulkRecoveryAction::Restored { iteration: 0, .. }
+            RecoveryAction::Restored { iteration: 0, .. }
         ));
     }
 
     #[test]
     fn disk_checkpoint_handler_roundtrips() {
         let ft = FtConfig::checkpoint(1, FailureScenario::none()).with_disk_checkpoints(true);
-        let mut h = bulk_handler::<u64, _>(&ft, noop_comp).unwrap();
+        let mut h = handler::<Partitions<u64>, _>(&ft, noop_comp).unwrap();
         let state = Partitions::round_robin(vec![9u64, 8, 7], 3);
         assert!(h.after_superstep(0, &state).unwrap().is_some());
         let mut broken = state.clone();
         broken.clear_partition(1);
         match h.on_failure(1, &[1], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { state: restored, .. } => assert_eq!(restored, state),
+            RecoveryAction::Restored { state: restored, .. } => assert_eq!(restored, state),
             _ => panic!("expected rollback"),
         }
     }

@@ -15,7 +15,7 @@ use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -147,7 +147,7 @@ impl FixSolution {
     }
 }
 
-impl BulkCompensation<Entry> for FixSolution {
+impl Compensation<Partitions<Entry>> for FixSolution {
     fn compensate(&mut self, state: &mut Partitions<Entry>, lost: &[PartitionId], _iteration: u32) {
         for (i, pid) in lost_keys(self.dimension as u64, self.parallelism, lost) {
             state.partition_mut(pid).push((i, 0.0));
@@ -168,10 +168,8 @@ pub fn run(system: &LinearSystem, config: &JacobiConfig) -> Result<JacobiResult>
     let rows_ds = env.from_keyed_vec(system.rows.clone(), |r: &Row| r.0);
 
     let mut iteration = BulkIteration::new(&x0, config.max_iterations);
-    iteration.set_fault_handler(common::bulk_handler(
-        &config.ft,
-        FixSolution::new(n, config.parallelism),
-    )?);
+    iteration
+        .set_fault_handler(common::handler(&config.ft, FixSolution::new(n, config.parallelism))?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: L1 movement of the solution vector; entries moving
     // more than epsilon count as changed (the termination metric).

@@ -27,7 +27,7 @@ use dataflow::partition::PartitionId;
 use dataflow::prelude::BulkIteration;
 use dataflow::stats::RunStats;
 use graphs::{exact_pagerank, Graph, PageRankParams, VertexId};
-use recovery::compensation::{lost_keys, BulkCompensation};
+use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
 
@@ -111,7 +111,7 @@ impl FixRanks {
     }
 }
 
-impl BulkCompensation<Rank> for FixRanks {
+impl Compensation<Partitions<Rank>> for FixRanks {
     fn compensate(&mut self, state: &mut Partitions<Rank>, lost: &[PartitionId], _iteration: u32) {
         // Ranks always sum to one; whatever the survivors don't hold was
         // destroyed with the failed partitions.
@@ -222,8 +222,7 @@ pub fn build_warm(
     let links_ds = env.from_keyed_vec(links, |l| l.0);
 
     let mut iteration = BulkIteration::new(&ranks0, config.max_iterations);
-    iteration
-        .set_fault_handler(common::bulk_handler(&config.ft, FixRanks::new(n, config.parallelism))?);
+    iteration.set_fault_handler(common::handler(&config.ft, FixRanks::new(n, config.parallelism))?);
     iteration.set_failure_source(config.ft.scenario.to_source());
     // Convergence norm: L1 rank movement; vertices moving more than the
     // termination epsilon count as changed (mirrors Figure 1b's check).

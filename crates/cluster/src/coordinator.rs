@@ -41,17 +41,18 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dataflow::api::Environment;
-use dataflow::config::{DispatchMode, EnvConfig};
+use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::ExecContext;
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction};
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
 use dataflow::stats::RunStats;
 use graphs::Graph;
 use recovery::compensation::Named;
-use recovery::OptimisticBulkHandler;
+use recovery::{OptimisticHandler, RestartHandler};
 use telemetry::metrics::{Counter, Histogram, PartitionedHistogram};
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -1628,142 +1629,94 @@ impl DynOp for ClusterStepOp {
     }
 }
 
-/// The coordinator-side channel half of an asynchronous snapshot: the
-/// inboxes (and the step counter) captured when a barrier fired, staged
-/// until the epoch completes. State after superstep `E` plus the messages
-/// produced *by* superstep `E` form the consistent cut — the superstep
-/// boundary plays the role of Chandy–Lamport's channel drain.
 /// One captured channel cut: `(epoch, inbox snapshots, committed steps)`.
+/// State after superstep `E` plus the messages produced *by* superstep `E`
+/// form the consistent cut — the superstep boundary plays the role of
+/// Chandy–Lamport's channel drain.
 type ChannelCapture = (u32, Vec<Arc<Vec<Msg>>>, u64);
 
-#[derive(Default)]
-struct StagedChannels {
-    in_flight: Option<ChannelCapture>,
-    complete: Option<ChannelCapture>,
-}
+impl SharedStepState {
+    /// The channel cut as of now, tagged with the restore point's epoch.
+    fn capture(&self, epoch: u32) -> ChannelCapture {
+        (epoch, self.inboxes.lock().clone(), self.steps_committed.load(Ordering::SeqCst))
+    }
 
-/// [`recovery::AsyncSnapshotBulkHandler`] wrapped with the cluster's extra
-/// restore obligations: on rollback the shared inboxes and step counter are
-/// rewound to the restored epoch's staged capture (or cleared on restart),
-/// and every persisted chunk is shipped to its owning worker through the
-/// backend.
-struct ClusterSnapshotHandler {
-    inner: recovery::AsyncSnapshotBulkHandler<Record, recovery::MemoryStore>,
-    shared: Arc<SharedStepState>,
-    staged: Arc<parking_lot::Mutex<StagedChannels>>,
-}
-
-impl ClusterSnapshotHandler {
-    fn new(
-        interval: u32,
-        backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-        shared: Arc<SharedStepState>,
-        telemetry: SinkHandle,
-    ) -> Self {
-        let staged: Arc<parking_lot::Mutex<StagedChannels>> = Arc::default();
-        let probe = {
-            let staged = staged.clone();
-            let shared = shared.clone();
-            Box::new(move |event: recovery::BarrierEvent<'_>| match event {
-                recovery::BarrierEvent::Started { epoch, .. } => {
-                    let inboxes = shared.inboxes.lock().clone();
-                    let step = shared.steps_committed.load(Ordering::SeqCst);
-                    staged.lock().in_flight = Some((epoch, inboxes, step));
-                }
-                recovery::BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
-                    backend.lock().stage_snapshot(epoch, pid, chunk);
-                }
-                recovery::BarrierEvent::Completed { epoch } => {
-                    let mut staged = staged.lock();
-                    if let Some(capture) = staged.in_flight.take_if(|c| c.0 == epoch) {
-                        staged.complete = Some(capture);
-                    }
-                }
-                recovery::BarrierEvent::Aborted { .. } => staged.lock().in_flight = None,
-            })
-        };
-        ClusterSnapshotHandler {
-            inner: recovery::AsyncSnapshotBulkHandler::new(recovery::MemoryStore::new(), interval)
-                .with_telemetry(telemetry)
-                .with_probe(probe),
-            shared,
-            staged,
-        }
+    /// Clear the inboxes and zero the step counter: the channel half of a
+    /// restart from the initial input.
+    fn reset(&self) {
+        let mut inboxes = self.inboxes.lock();
+        let parallelism = inboxes.len();
+        *inboxes = empty_inboxes(parallelism);
+        self.steps_committed.store(0, Ordering::SeqCst);
     }
 }
 
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterSnapshotHandler {
+/// A `recovery` strategy wrapped with the cluster's channel obligations:
+/// the strategy rolls the partition state back, the wrapper rolls the
+/// shared inboxes and step counter back with it — to the channel cut
+/// captured with the restored state, or to empty on a restart.
+struct ChannelRollback<H> {
+    inner: H,
+    shared: Arc<SharedStepState>,
+    /// The channel cut belonging to the strategy's current restore point.
+    restore_point: Arc<parking_lot::Mutex<Option<ChannelCapture>>>,
+    /// Capture the cut whenever the strategy writes a checkpoint
+    /// (synchronous checkpoints); asynchronous snapshots capture from their
+    /// barrier probe instead.
+    capture_on_checkpoint: bool,
+}
+
+impl<H> ChannelRollback<H> {
+    fn new(inner: H, shared: Arc<SharedStepState>, capture_on_checkpoint: bool) -> Self {
+        ChannelRollback { inner, shared, restore_point: Arc::default(), capture_on_checkpoint }
+    }
+}
+
+/// [`recovery::AsyncSnapshotHandler`] with its channel half: the barrier
+/// probe stages the cut when a barrier fires, promotes it to the restore
+/// point when the epoch completes, and ships every persisted chunk to its
+/// owning worker through the backend.
+fn snapshot_handler(
+    interval: u32,
+    backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
+    shared: Arc<SharedStepState>,
+    telemetry: SinkHandle,
+) -> ChannelRollback<recovery::AsyncSnapshotHandler<recovery::MemoryStore>> {
+    let restore_point: Arc<parking_lot::Mutex<Option<ChannelCapture>>> = Arc::default();
+    let probe = {
+        let restore_point = restore_point.clone();
+        let shared = shared.clone();
+        let mut in_flight: Option<ChannelCapture> = None;
+        Box::new(move |event: recovery::BarrierEvent<'_>| match event {
+            recovery::BarrierEvent::Started { epoch, .. } => {
+                in_flight = Some(shared.capture(epoch));
+            }
+            recovery::BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
+                backend.lock().stage_snapshot(epoch, pid, chunk);
+            }
+            recovery::BarrierEvent::Completed { epoch } => {
+                if let Some(capture) = in_flight.take_if(|c| c.0 == epoch) {
+                    *restore_point.lock() = Some(capture);
+                }
+            }
+            recovery::BarrierEvent::Aborted { .. } => in_flight = None,
+        })
+    };
+    let inner = recovery::AsyncSnapshotHandler::new(recovery::MemoryStore::new(), interval)
+        .with_telemetry(telemetry)
+        .with_probe(probe);
+    ChannelRollback { inner, shared, restore_point, capture_on_checkpoint: false }
+}
+
+impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for ChannelRollback<H> {
     fn after_superstep(
         &mut self,
         iteration: u32,
         state: &Partitions<Record>,
-    ) -> Result<Option<dataflow::ft::CheckpointCost>> {
-        self.inner.after_superstep(iteration, state)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
-        let action = self.inner.on_failure(iteration, lost, state)?;
-        match &action {
-            dataflow::ft::BulkRecoveryAction::Restored { iteration: epoch, .. } => {
-                let staged = self.staged.lock();
-                let (_, inboxes, step) =
-                    staged.complete.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
-                        EngineError::Recovery(format!(
-                            "async snapshot epoch {epoch} has no staged channel capture"
-                        ))
-                    })?;
-                *self.shared.inboxes.lock() = inboxes.clone();
-                self.shared.steps_committed.store(*step, Ordering::SeqCst);
-            }
-            dataflow::ft::BulkRecoveryAction::Restart => {
-                let mut inboxes = self.shared.inboxes.lock();
-                let parallelism = inboxes.len();
-                *inboxes = empty_inboxes(parallelism);
-                self.shared.steps_committed.store(0, Ordering::SeqCst);
-            }
-            _ => {}
-        }
-        Ok(action)
-    }
-}
-
-/// [`recovery::CheckpointBulkHandler`] wrapped with the cluster's extra
-/// capture/restore obligations: every synchronous checkpoint also captures
-/// the shared inboxes and the step counter (pointer clones of the committed
-/// snapshots), and a rollback rewinds all three together.
-struct ClusterCheckpointHandler {
-    inner: recovery::CheckpointBulkHandler<Record, recovery::MemoryStore>,
-    shared: Arc<SharedStepState>,
-    captured: Option<ChannelCapture>,
-}
-
-impl ClusterCheckpointHandler {
-    fn new(interval: u32, shared: Arc<SharedStepState>, telemetry: SinkHandle) -> Self {
-        ClusterCheckpointHandler {
-            inner: recovery::CheckpointBulkHandler::new(recovery::MemoryStore::new(), interval)
-                .with_telemetry(telemetry),
-            shared,
-            captured: None,
-        }
-    }
-}
-
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterCheckpointHandler {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<Record>,
-    ) -> Result<Option<dataflow::ft::CheckpointCost>> {
+    ) -> Result<Option<CheckpointCost>> {
         let cost = self.inner.after_superstep(iteration, state)?;
-        if cost.is_some() {
-            let inboxes = self.shared.inboxes.lock().clone();
-            let step = self.shared.steps_committed.load(Ordering::SeqCst);
-            self.captured = Some((iteration, inboxes, step));
+        if cost.is_some() && self.capture_on_checkpoint {
+            *self.restore_point.lock() = Some(self.shared.capture(iteration));
         }
         Ok(cost)
     }
@@ -1773,50 +1726,24 @@ impl dataflow::ft::BulkFaultHandler<Record> for ClusterCheckpointHandler {
         iteration: u32,
         lost: &[PartitionId],
         state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
+    ) -> Result<RecoveryAction<Partitions<Record>>> {
         let action = self.inner.on_failure(iteration, lost, state)?;
         match &action {
-            dataflow::ft::BulkRecoveryAction::Restored { iteration: ckpt, .. } => {
+            RecoveryAction::Restored { iteration: epoch, .. } => {
+                let restore_point = self.restore_point.lock();
                 let (_, inboxes, step) =
-                    self.captured.as_ref().filter(|c| c.0 == *ckpt).ok_or_else(|| {
+                    restore_point.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
                         EngineError::Recovery(format!(
-                            "checkpoint {ckpt} has no captured channel state"
+                            "restore point {epoch} has no captured channel state"
                         ))
                     })?;
                 *self.shared.inboxes.lock() = inboxes.clone();
                 self.shared.steps_committed.store(*step, Ordering::SeqCst);
             }
-            dataflow::ft::BulkRecoveryAction::Restart => {
-                let mut inboxes = self.shared.inboxes.lock();
-                let parallelism = inboxes.len();
-                *inboxes = empty_inboxes(parallelism);
-                self.shared.steps_committed.store(0, Ordering::SeqCst);
-            }
+            RecoveryAction::Restart => self.shared.reset(),
             _ => {}
         }
         Ok(action)
-    }
-}
-
-/// The lineage baseline as a cluster strategy: any failure clears the
-/// shared inboxes and the step counter and tells the driver to restart
-/// from the initial input.
-struct ClusterRestartHandler {
-    shared: Arc<SharedStepState>,
-}
-
-impl dataflow::ft::BulkFaultHandler<Record> for ClusterRestartHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _state: &mut Partitions<Record>,
-    ) -> Result<dataflow::ft::BulkRecoveryAction<Record>> {
-        let mut inboxes = self.shared.inboxes.lock();
-        let parallelism = inboxes.len();
-        *inboxes = empty_inboxes(parallelism);
-        self.shared.steps_committed.store(0, Ordering::SeqCst);
-        Ok(dataflow::ft::BulkRecoveryAction::Restart)
     }
 }
 
@@ -1898,7 +1825,6 @@ pub fn run_cluster(
         n,
         parallelism,
         max_iterations,
-        DispatchMode::Cluster,
         strategy,
         telemetry,
         initial_state,
@@ -1939,7 +1865,6 @@ pub fn run_local_warm(
         n,
         parallelism,
         max_iterations,
-        DispatchMode::Pool,
         ClusterStrategy::Optimistic,
         telemetry,
         initial_state,
@@ -1963,13 +1888,11 @@ fn run_with_backend(
     n: u64,
     parallelism: usize,
     max_iterations: u32,
-    dispatch: DispatchMode,
     strategy: ClusterStrategy,
     telemetry: SinkHandle,
     initial_state: Option<Vec<Record>>,
 ) -> Result<ClusterRun> {
-    let config =
-        EnvConfig::new(parallelism).with_dispatch(dispatch).with_telemetry(telemetry.clone());
+    let config = EnvConfig::new(parallelism).with_telemetry(telemetry.clone());
     let env = Environment::with_config(config);
     let initial_parts = match initial_state {
         Some(state) => {
@@ -2014,19 +1937,17 @@ fn run_with_backend(
                     }
                 },
             );
-            iteration.set_fault_handler(
-                OptimisticBulkHandler::new(compensation).with_telemetry(telemetry),
-            );
+            iteration
+                .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
         }
         ClusterStrategy::Checkpoint { interval } => {
-            iteration.set_fault_handler(ClusterCheckpointHandler::new(
-                interval,
-                shared.clone(),
-                telemetry,
-            ));
+            let checkpoints =
+                recovery::CheckpointHandler::new(recovery::MemoryStore::new(), interval)
+                    .with_telemetry(telemetry);
+            iteration.set_fault_handler(ChannelRollback::new(checkpoints, shared.clone(), true));
         }
         ClusterStrategy::AsyncSnapshot { interval } => {
-            iteration.set_fault_handler(ClusterSnapshotHandler::new(
+            iteration.set_fault_handler(snapshot_handler(
                 interval,
                 backend.clone(),
                 shared.clone(),
@@ -2034,7 +1955,11 @@ fn run_with_backend(
             ));
         }
         ClusterStrategy::Restart => {
-            iteration.set_fault_handler(ClusterRestartHandler { shared: shared.clone() });
+            iteration.set_fault_handler(ChannelRollback::new(
+                RestartHandler,
+                shared.clone(),
+                false,
+            ));
         }
     }
     iteration.set_convergence_probe(|prev: &Partitions<Record>, next: &Partitions<Record>| {

@@ -11,7 +11,7 @@
 //! timeout. Detection converts into
 //! [`dataflow::error::EngineError::WorkerLost`], which flows through the
 //! *unchanged* bulk-iteration recovery machinery: the installed
-//! [`recovery::OptimisticBulkHandler`] compensates the lost partitions and
+//! [`recovery::OptimisticHandler`] compensates the lost partitions and
 //! the superstep is redone, while the coordinator re-spawns the worker and
 //! re-ships its partitions in the background.
 //!

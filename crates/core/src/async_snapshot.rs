@@ -26,16 +26,10 @@
 //! marker flowing through the topology) and to snapshot its in-flight
 //! channel state alongside.
 
-use std::marker::PhantomData;
 use std::time::Instant;
 
-use dataflow::codec::Codec;
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction,
-    SolutionSets,
-};
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, SnapshotState};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -91,33 +85,70 @@ struct Complete {
     partitions: usize,
 }
 
-fn chunk_key(prefix: &str, epoch: u32, pid: usize) -> String {
-    format!("{prefix}-{epoch}-p{pid}")
+fn chunk_key(kind: &str, epoch: u32, pid: usize) -> String {
+    format!("async-{kind}-{epoch}-p{pid}")
 }
 
-/// Shared barrier bookkeeping of the bulk and delta handlers.
-struct BarrierCore<S> {
-    store: S,
+/// Asynchronous-barrier-snapshot handler for bulk and delta iterations.
+///
+/// See the [module docs](self) for the mechanism. Each partition chunk
+/// carries that partition's state (for a delta iteration: its solution set
+/// and its workset). Restores carry the last complete epoch's state; before
+/// the first epoch completes, failures degrade to a restart (exactly like
+/// [`crate::checkpoint`] before its first snapshot).
+pub struct AsyncSnapshotHandler<St> {
+    store: St,
     interval: u32,
-    prefix: &'static str,
     telemetry: SinkHandle,
     probe: Option<BarrierProbe>,
     in_flight: Option<InFlight>,
     complete: Option<Complete>,
 }
 
-impl<S: StableStore> BarrierCore<S> {
-    fn new(store: S, interval: u32, prefix: &'static str) -> Self {
+impl<St: StableStore> AsyncSnapshotHandler<St> {
+    /// Fire a barrier at iterations `0, interval, 2·interval, ...` (skipping
+    /// multiples that land while a snapshot is still in flight).
+    ///
+    /// # Panics
+    /// Panics when `interval` is zero.
+    pub fn new(store: St, interval: u32) -> Self {
         assert!(interval > 0, "snapshot interval must be at least 1");
-        BarrierCore {
+        AsyncSnapshotHandler {
             store,
             interval,
-            prefix,
             telemetry: SinkHandle::disabled(),
             probe: None,
             in_flight: None,
             complete: None,
         }
+    }
+
+    /// Report barrier starts/completions and restores to the given sink.
+    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
+        self.telemetry = telemetry;
+        self
+    }
+
+    /// Observe barrier life-cycle points (the cluster coordinator ships
+    /// chunks to workers and captures channel state from here).
+    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
+        self.probe = Some(probe);
+        self
+    }
+
+    /// The epoch of the last complete (restorable) snapshot, if any.
+    pub fn latest_complete(&self) -> Option<u32> {
+        self.complete.map(|c| c.epoch)
+    }
+
+    /// The epoch of the snapshot currently being written, if any.
+    pub fn in_flight_epoch(&self) -> Option<u32> {
+        self.in_flight.as_ref().map(|f| f.epoch)
+    }
+
+    /// Borrow the underlying store (e.g. for byte accounting).
+    pub fn store(&self) -> &St {
+        &self.store
     }
 
     fn notify(&mut self, event: BarrierEvent<'_>) {
@@ -128,9 +159,11 @@ impl<S: StableStore> BarrierCore<S> {
 
     /// Persist the next pending chunk, completing the epoch when it was the
     /// last one; then fire a new barrier if `iteration` is due and no
-    /// barrier is in flight. `capture` encodes one partition's chunk.
+    /// barrier is in flight. `capture` encodes one partition's chunk; `kind`
+    /// tags the state kind in the chunk keys.
     fn advance(
         &mut self,
+        kind: &str,
         iteration: u32,
         partitions: usize,
         capture: impl Fn(usize) -> Vec<u8>,
@@ -138,34 +171,7 @@ impl<S: StableStore> BarrierCore<S> {
         let start = Instant::now();
         let mut persisted = 0u64;
         if self.in_flight.is_some() {
-            let (epoch, pid, chunk, is_last) = {
-                let in_flight = self.in_flight.as_mut().expect("in-flight barrier present");
-                let pid = in_flight.next;
-                let chunk = std::mem::take(&mut in_flight.chunks[pid]);
-                in_flight.next += 1;
-                (in_flight.epoch, pid, chunk, in_flight.next == in_flight.chunks.len())
-            };
-            self.store.put(&chunk_key(self.prefix, epoch, pid), &chunk)?;
-            persisted += chunk.len() as u64;
-            self.notify(BarrierEvent::ChunkPersisted { epoch, pid, chunk: &chunk });
-            self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
-            if is_last {
-                let done = self.in_flight.take().expect("in-flight barrier present");
-                let bytes: u64 = done.chunks.iter().map(|c| c.len() as u64).sum();
-                let count = done.chunks.len();
-                // The new restore point supersedes the previous epoch.
-                if let Some(old) = self.complete.replace(Complete { epoch, partitions: count }) {
-                    for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.prefix, old.epoch, old_pid))?;
-                    }
-                }
-                self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
-                    epoch,
-                    partitions: count,
-                    bytes,
-                });
-                self.notify(BarrierEvent::Completed { epoch });
-            }
+            persisted += self.persist_next_chunk(kind)?;
         }
         // A barrier due while one is still in flight is skipped (the next
         // multiple of `interval` after completion fires instead) — one
@@ -176,28 +182,8 @@ impl<S: StableStore> BarrierCore<S> {
             self.telemetry
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
             self.notify(BarrierEvent::Started { epoch: iteration, partitions });
-            let first = &chunks[0];
-            self.store.put(&chunk_key(self.prefix, iteration, 0), first)?;
-            persisted += first.len() as u64;
-            self.notify(BarrierEvent::ChunkPersisted { epoch: iteration, pid: 0, chunk: first });
-            if partitions == 1 {
-                // Degenerate single-partition case: durable immediately.
-                let bytes = first.len() as u64;
-                if let Some(old) = self.complete.replace(Complete { epoch: iteration, partitions })
-                {
-                    for old_pid in 0..old.partitions {
-                        self.store.remove(&chunk_key(self.prefix, old.epoch, old_pid))?;
-                    }
-                }
-                self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
-                    epoch: iteration,
-                    partitions,
-                    bytes,
-                });
-                self.notify(BarrierEvent::Completed { epoch: iteration });
-            } else {
-                self.in_flight = Some(InFlight { epoch: iteration, chunks, next: 1 });
-            }
+            self.in_flight = Some(InFlight { epoch: iteration, chunks, next: 0 });
+            persisted += self.persist_next_chunk(kind)?;
         }
         if persisted == 0 {
             return Ok(None);
@@ -205,12 +191,44 @@ impl<S: StableStore> BarrierCore<S> {
         Ok(Some(CheckpointCost { bytes: persisted, duration: start.elapsed() }))
     }
 
+    /// Write the in-flight epoch's next chunk to stable storage; after its
+    /// last chunk the epoch becomes the restore point, superseding the
+    /// previous one. Returns the bytes written.
+    fn persist_next_chunk(&mut self, kind: &str) -> Result<u64> {
+        let in_flight = self.in_flight.as_mut().expect("in-flight barrier present");
+        let (epoch, pid) = (in_flight.epoch, in_flight.next);
+        in_flight.next += 1;
+        let is_last = in_flight.next == in_flight.chunks.len();
+        let chunk = std::mem::take(&mut in_flight.chunks[pid]);
+        self.store.put(&chunk_key(kind, epoch, pid), &chunk)?;
+        self.notify(BarrierEvent::ChunkPersisted { epoch, pid, chunk: &chunk });
+        let written = chunk.len() as u64;
+        self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
+        if is_last {
+            let done = self.in_flight.take().expect("in-flight barrier present");
+            let bytes: u64 = done.chunks.iter().map(|c| c.len() as u64).sum();
+            let partitions = done.chunks.len();
+            if let Some(old) = self.complete.replace(Complete { epoch, partitions }) {
+                for old_pid in 0..old.partitions {
+                    self.store.remove(&chunk_key(kind, old.epoch, old_pid))?;
+                }
+            }
+            self.telemetry.emit(|| JournalEvent::SnapshotBarrierCompleted {
+                epoch,
+                partitions,
+                bytes,
+            });
+            self.notify(BarrierEvent::Completed { epoch });
+        }
+        Ok(written)
+    }
+
     /// Discard a partial in-flight epoch (failure mid-snapshot): recovery
     /// must never restore from it.
-    fn abort_in_flight(&mut self) -> Result<()> {
+    fn abort_in_flight(&mut self, kind: &str) -> Result<()> {
         if let Some(in_flight) = self.in_flight.take() {
             for pid in 0..in_flight.next {
-                self.store.remove(&chunk_key(self.prefix, in_flight.epoch, pid))?;
+                self.store.remove(&chunk_key(kind, in_flight.epoch, pid))?;
             }
             self.notify(BarrierEvent::Aborted { epoch: in_flight.epoch });
         }
@@ -218,11 +236,11 @@ impl<S: StableStore> BarrierCore<S> {
     }
 
     /// Fetch the chunks of the last complete epoch, if any.
-    fn complete_chunks(&self) -> Result<Option<(u32, Vec<Vec<u8>>)>> {
+    fn complete_chunks(&self, kind: &str) -> Result<Option<(u32, Vec<Vec<u8>>)>> {
         let Some(complete) = self.complete else { return Ok(None) };
         let mut chunks = Vec::with_capacity(complete.partitions);
         for pid in 0..complete.partitions {
-            let key = chunk_key(self.prefix, complete.epoch, pid);
+            let key = chunk_key(kind, complete.epoch, pid);
             let chunk = self.store.get(&key)?.ok_or_else(|| {
                 EngineError::Recovery(format!("snapshot chunk {key} vanished from stable storage"))
             })?;
@@ -232,69 +250,11 @@ impl<S: StableStore> BarrierCore<S> {
     }
 }
 
-/// Asynchronous-barrier-snapshot handler for bulk iterations.
-///
-/// See the [module docs](self) for the mechanism. Restores carry the last
-/// complete epoch's state; before the first epoch completes, failures
-/// degrade to a restart (exactly like [`crate::checkpoint`] before its
-/// first snapshot).
-pub struct AsyncSnapshotBulkHandler<T, S> {
-    core: BarrierCore<S>,
-    _records: PhantomData<fn(T)>,
-}
-
-impl<T, S: StableStore> AsyncSnapshotBulkHandler<T, S> {
-    /// Fire a barrier at iterations `0, interval, 2·interval, ...` (skipping
-    /// multiples that land while a snapshot is still in flight).
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        AsyncSnapshotBulkHandler {
-            core: BarrierCore::new(store, interval, "async-bulk"),
-            _records: PhantomData,
-        }
-    }
-
-    /// Report barrier starts/completions and restores to the given sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.core.telemetry = telemetry;
-        self
-    }
-
-    /// Observe barrier life-cycle points (the cluster coordinator ships
-    /// chunks to workers and captures channel state from here).
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.core.probe = Some(probe);
-        self
-    }
-
-    /// The epoch of the last complete (restorable) snapshot, if any.
-    pub fn latest_complete(&self) -> Option<u32> {
-        self.core.complete.map(|c| c.epoch)
-    }
-
-    /// The epoch of the snapshot currently being written, if any.
-    pub fn in_flight_epoch(&self) -> Option<u32> {
-        self.core.in_flight.as_ref().map(|f| f.epoch)
-    }
-
-    /// Borrow the underlying store (e.g. for byte accounting).
-    pub fn store(&self) -> &S {
-        &self.core.store
-    }
-}
-
-impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for AsyncSnapshotBulkHandler<T, S> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
-        let parts = state.as_parts();
-        self.core.advance(iteration, parts.len(), |pid| {
+impl<S: SnapshotState, St: StableStore> FaultHandler<S> for AsyncSnapshotHandler<St> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
+        self.advance(S::KIND, iteration, state.num_partitions(), |pid| {
             let mut out = Vec::new();
-            parts[pid].encode(&mut out);
+            state.encode_partition(pid, &mut out);
             out
         })
     }
@@ -303,134 +263,15 @@ impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for AsyncSnapshotBulkH
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        self.core.abort_in_flight()?;
-        match self.core.complete_chunks()? {
-            None => Ok(BulkRecoveryAction::Restart),
-            Some((epoch, chunks)) => {
-                let mut parts = Vec::with_capacity(chunks.len());
-                for chunk in &chunks {
-                    parts.push(dataflow::codec::decode_exact::<Vec<T>>(chunk)?);
-                }
-                self.core.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
-                Ok(BulkRecoveryAction::Restored {
-                    iteration: epoch,
-                    state: Partitions::from_parts(parts),
-                })
-            }
-        }
-    }
-}
-
-/// Asynchronous-barrier-snapshot handler for delta iterations: each
-/// partition chunk carries that partition's solution set and workset.
-pub struct AsyncSnapshotDeltaHandler<K, V, W, S> {
-    core: BarrierCore<S>,
-    _records: PhantomData<fn(K, V, W)>,
-}
-
-impl<K, V, W, S: StableStore> AsyncSnapshotDeltaHandler<K, V, W, S> {
-    /// Fire a barrier at iterations `0, interval, 2·interval, ...` (skipping
-    /// multiples that land while a snapshot is still in flight).
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        AsyncSnapshotDeltaHandler {
-            core: BarrierCore::new(store, interval, "async-delta"),
-            _records: PhantomData,
-        }
-    }
-
-    /// Report barrier starts/completions and restores to the given sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.core.telemetry = telemetry;
-        self
-    }
-
-    /// Observe barrier life-cycle points.
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.core.probe = Some(probe);
-        self
-    }
-
-    /// The epoch of the last complete (restorable) snapshot, if any.
-    pub fn latest_complete(&self) -> Option<u32> {
-        self.core.complete.map(|c| c.epoch)
-    }
-
-    /// The epoch of the snapshot currently being written, if any.
-    pub fn in_flight_epoch(&self) -> Option<u32> {
-        self.core.in_flight.as_ref().map(|f| f.epoch)
-    }
-
-    /// Borrow the underlying store.
-    pub fn store(&self) -> &S {
-        &self.core.store
-    }
-}
-
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for AsyncSnapshotDeltaHandler<K, V, W, S>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-    W: Data + Codec,
-    S: StableStore,
-{
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        debug_assert_eq!(solution.len(), workset.num_partitions());
-        let worksets = workset.as_parts();
-        self.core.advance(iteration, solution.len(), |pid| {
-            let mut out = Vec::new();
-            let entries: Vec<(K, V)> =
-                solution[pid].iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            entries.encode(&mut out);
-            worksets[pid].encode(&mut out);
-            out
-        })
-    }
-
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        self.core.abort_in_flight()?;
-        match self.core.complete_chunks()? {
-            None => Ok(DeltaRecoveryAction::Restart),
-            Some((epoch, chunks)) => {
-                let mut solution: SolutionSets<K, V> = Vec::with_capacity(chunks.len());
-                let mut worksets = Vec::with_capacity(chunks.len());
-                for chunk in &chunks {
-                    let mut input = chunk.as_slice();
-                    let entries = Vec::<(K, V)>::decode(&mut input)?;
-                    let part = Vec::<W>::decode(&mut input)?;
-                    if !input.is_empty() {
-                        return Err(EngineError::Codec(
-                            "trailing bytes in async snapshot chunk".into(),
-                        ));
-                    }
-                    let mut set = dataflow::hash::FxHashMap::default();
-                    set.extend(entries);
-                    solution.push(set);
-                    worksets.push(part);
-                }
-                self.core.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
-                Ok(DeltaRecoveryAction::Restored {
-                    iteration: epoch,
-                    solution,
-                    workset: Partitions::from_parts(worksets),
-                })
-            }
-        }
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        self.abort_in_flight(S::KIND)?;
+        let Some((epoch, chunks)) = self.complete_chunks(S::KIND)? else {
+            return Ok(RecoveryAction::Restart);
+        };
+        let state = S::decode_partitions(&chunks)?;
+        self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: epoch });
+        Ok(RecoveryAction::Restored { iteration: epoch, state })
     }
 }
 
@@ -441,6 +282,8 @@ mod tests {
 
     use super::*;
     use crate::checkpoint::MemoryStore;
+    use dataflow::dataset::Partitions;
+    use dataflow::ft::{DeltaState, SolutionSets};
 
     fn state(round: u64) -> Partitions<u64> {
         Partitions::round_robin((0..8).map(|v| v + 100 * round).collect(), 4)
@@ -448,8 +291,7 @@ mod tests {
 
     #[test]
     fn snapshot_writes_spread_over_supersteps() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4);
         // Barrier fires at iteration 0; with 4 partitions one chunk lands
         // per superstep, so the epoch completes at iteration 3.
         assert!(handler.after_superstep(0, &state(0)).unwrap().is_some());
@@ -468,7 +310,7 @@ mod tests {
         let mut broken = state(4);
         broken.clear_partition(1);
         match handler.on_failure(4, &[1], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
+            RecoveryAction::Restored { iteration, state: restored } => {
                 assert_eq!(iteration, 0);
                 assert_eq!(restored, state(0));
             }
@@ -478,8 +320,7 @@ mod tests {
 
     #[test]
     fn completed_epochs_supersede_and_garbage_collect_older_ones() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4);
         // Epoch 0 completes at iteration 3; epoch 4 completes at 7.
         for iteration in 0..8 {
             handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
@@ -489,7 +330,7 @@ mod tests {
         let mut broken = state(8);
         broken.clear_partition(0);
         match handler.on_failure(8, &[0], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
+            RecoveryAction::Restored { iteration, state: restored } => {
                 assert_eq!(iteration, 4);
                 assert_eq!(restored, state(4));
             }
@@ -499,8 +340,7 @@ mod tests {
 
     #[test]
     fn never_restores_from_a_partial_snapshot() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4);
         // Two chunks of epoch 0 are durable, two are not: the failure must
         // degrade to a restart, never restore the partial epoch.
         handler.after_superstep(0, &state(0)).unwrap();
@@ -508,7 +348,7 @@ mod tests {
         let mut broken = state(2);
         broken.clear_partition(2);
         match handler.on_failure(2, &[2], &mut broken).unwrap() {
-            BulkRecoveryAction::Restart => {}
+            RecoveryAction::Restart => {}
             _ => panic!("a partial snapshot must never be restored"),
         }
         assert_eq!(handler.store().len(), 0, "partial chunks were discarded");
@@ -517,8 +357,7 @@ mod tests {
 
     #[test]
     fn failure_mid_flight_falls_back_to_the_previous_complete_epoch() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4);
         for iteration in 0..6 {
             handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
         }
@@ -528,7 +367,7 @@ mod tests {
         let mut broken = state(6);
         broken.clear_partition(3);
         match handler.on_failure(6, &[3], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state: restored } => {
+            RecoveryAction::Restored { iteration, state: restored } => {
                 assert_eq!(iteration, 0, "the in-flight epoch 4 must be skipped");
                 assert_eq!(restored, state(0));
             }
@@ -542,8 +381,7 @@ mod tests {
         // interval 2 < parallelism 4: the barrier at iteration 2 lands while
         // epoch 0 is still persisting and is skipped; the next barrier fires
         // at iteration 4 (the first multiple after completion).
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 2);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 2);
         for iteration in 0..4 {
             handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
         }
@@ -557,21 +395,19 @@ mod tests {
     fn probe_sees_the_barrier_life_cycle_in_order() {
         let seen: Rc<RefCell<Vec<String>>> = Rc::default();
         let log = seen.clone();
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 4).with_probe(Box::new(
-                move |event| {
-                    log.borrow_mut().push(match event {
-                        BarrierEvent::Started { epoch, partitions } => {
-                            format!("start:{epoch}:{partitions}")
-                        }
-                        BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
-                            format!("chunk:{epoch}:{pid}")
-                        }
-                        BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
-                        BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
-                    });
-                },
-            ));
+        let mut handler =
+            AsyncSnapshotHandler::new(MemoryStore::new(), 4).with_probe(Box::new(move |event| {
+                log.borrow_mut().push(match event {
+                    BarrierEvent::Started { epoch, partitions } => {
+                        format!("start:{epoch}:{partitions}")
+                    }
+                    BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
+                        format!("chunk:{epoch}:{pid}")
+                    }
+                    BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
+                    BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
+                });
+            }));
         for iteration in 0..5 {
             handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
         }
@@ -597,8 +433,7 @@ mod tests {
 
     #[test]
     fn single_partition_snapshots_complete_immediately() {
-        let mut handler: AsyncSnapshotBulkHandler<u64, _> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 3);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 3);
         let state = Partitions::round_robin(vec![7u64, 8, 9], 1);
         handler.after_superstep(0, &state).unwrap();
         assert_eq!(handler.latest_complete(), Some(0));
@@ -607,27 +442,27 @@ mod tests {
 
     #[test]
     fn delta_chunks_roundtrip_solution_and_workset() {
-        let mut handler: AsyncSnapshotDeltaHandler<u64, u64, (u64, u64), _> =
-            AsyncSnapshotDeltaHandler::new(MemoryStore::new(), 2);
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 2);
         let mut solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
         solution[0].insert(2, 20);
         solution[1].insert(1, 10);
         let workset = Partitions::from_parts(vec![vec![(2u64, 20u64)], vec![(1u64, 10u64)]]);
+        let state = DeltaState { solution, workset };
         // Two partitions: the epoch at iteration 0 completes at iteration 1.
-        handler.after_superstep(0, &solution, &workset).unwrap();
+        handler.after_superstep(0, &state).unwrap();
         assert_eq!(handler.latest_complete(), None);
-        handler.after_superstep(1, &solution, &workset).unwrap();
+        handler.after_superstep(1, &state).unwrap();
         assert_eq!(handler.latest_complete(), Some(0));
 
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        let mut broken_workset = Partitions::empty(2);
-        match handler.on_failure(2, &[0], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution: s, workset: w } => {
+        let mut broken: DeltaState<u64, u64, (u64, u64)> =
+            DeltaState { solution: vec![Default::default(); 2], workset: Partitions::empty(2) };
+        match handler.on_failure(2, &[0], &mut broken).unwrap() {
+            RecoveryAction::Restored { iteration, state: restored } => {
                 assert_eq!(iteration, 0);
-                assert_eq!(s[0].get(&2), Some(&20));
-                assert_eq!(s[1].get(&1), Some(&10));
-                assert_eq!(w.partition(0), &[(2, 20)]);
-                assert_eq!(w.partition(1), &[(1, 10)]);
+                assert_eq!(restored.solution[0].get(&2), Some(&20));
+                assert_eq!(restored.solution[1].get(&1), Some(&10));
+                assert_eq!(restored.workset.partition(0), &[(2, 20)]);
+                assert_eq!(restored.workset.partition(1), &[(1, 10)]);
             }
             _ => panic!("expected a restore"),
         }
@@ -635,15 +470,13 @@ mod tests {
 
     #[test]
     fn delta_partial_snapshots_restart() {
-        let mut handler: AsyncSnapshotDeltaHandler<u64, u64, u64, _> =
-            AsyncSnapshotDeltaHandler::new(MemoryStore::new(), 1);
-        let solution: SolutionSets<u64, u64> = vec![Default::default(); 3];
-        let workset: Partitions<u64> = Partitions::empty(3);
-        handler.after_superstep(0, &solution, &workset).unwrap();
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 3];
-        let mut broken_workset: Partitions<u64> = Partitions::empty(3);
-        match handler.on_failure(1, &[1], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restart => {}
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 1);
+        let empty = || -> DeltaState<u64, u64, u64> {
+            DeltaState { solution: vec![Default::default(); 3], workset: Partitions::empty(3) }
+        };
+        handler.after_superstep(0, &empty()).unwrap();
+        match handler.on_failure(1, &[1], &mut empty()).unwrap() {
+            RecoveryAction::Restart => {}
             _ => panic!("no complete epoch yet: must restart"),
         }
     }
@@ -651,7 +484,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_interval_is_rejected() {
-        let _: AsyncSnapshotBulkHandler<u64, MemoryStore> =
-            AsyncSnapshotBulkHandler::new(MemoryStore::new(), 0);
+        let _ = AsyncSnapshotHandler::new(MemoryStore::new(), 0);
     }
 }

@@ -7,18 +7,11 @@
 //! run, failure or not — the quantity Experiment C1 measures.
 
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use dataflow::codec::Codec;
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction,
-    SolutionSets,
-};
-use dataflow::hash::FxHashMap;
+use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction, SnapshotState};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
@@ -232,93 +225,43 @@ impl StableStore for DiskStore {
     }
 }
 
-/// Encode per-partition solution sets as `Vec<Vec<(K, V)>>` (deterministic
-/// container layout shared by the full and incremental delta handlers).
-pub(crate) fn encode_solution_sets<K, V>(solution: &SolutionSets<K, V>, out: &mut Vec<u8>)
-where
-    K: Data + Codec,
-    V: Data + Codec,
-{
-    (solution.len() as u64).encode(out);
-    for set in solution {
-        let entries: Vec<(K, V)> = set.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        entries.encode(out);
+impl StableStore for Box<dyn StableStore> {
+    fn put(&mut self, key: &str, bytes: &[u8]) -> Result<()> {
+        (**self).put(key, bytes)
+    }
+
+    fn get(&self, key: &str) -> Result<Option<Vec<u8>>> {
+        (**self).get(key)
+    }
+
+    fn remove(&mut self, key: &str) -> Result<()> {
+        (**self).remove(key)
+    }
+
+    fn bytes_written(&self) -> u64 {
+        (**self).bytes_written()
     }
 }
 
-/// Decode solution sets written by [`encode_solution_sets`].
-pub(crate) fn decode_solution_sets<K, V>(input: &mut &[u8]) -> Result<SolutionSets<K, V>>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-{
-    let num_sets = u64::decode(input)? as usize;
-    let mut solution: SolutionSets<K, V> = Vec::with_capacity(num_sets);
-    for _ in 0..num_sets {
-        let entries = Vec::<(K, V)>::decode(input)?;
-        let mut set = FxHashMap::default();
-        set.extend(entries);
-        solution.push(set);
-    }
-    Ok(solution)
-}
-
-/// Encode a partitioned working set (partition-count prefix + per-partition
-/// vectors).
-pub(crate) fn encode_workset<W: Codec>(workset: &Partitions<W>, out: &mut Vec<u8>) {
-    (workset.num_partitions() as u64).encode(out);
-    for part in workset.as_parts() {
-        part.encode(out);
-    }
-}
-
-/// Decode a working set written by [`encode_workset`].
-pub(crate) fn decode_workset<W: Codec>(input: &mut &[u8]) -> Result<Partitions<W>> {
-    let num_parts = u64::decode(input)? as usize;
-    let mut parts = Vec::with_capacity(num_parts);
-    for _ in 0..num_parts {
-        parts.push(Vec::<W>::decode(input)?);
-    }
-    Ok(Partitions::from_parts(parts))
-}
-
-fn encode_nested<T: Codec>(parts: &[Vec<T>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    (parts.len() as u64).encode(&mut out);
-    for part in parts {
-        part.encode(&mut out);
-    }
-    out
-}
-
-fn decode_nested<T: Codec>(bytes: &[u8]) -> Result<Vec<Vec<T>>> {
-    dataflow::codec::decode_exact::<Vec<Vec<T>>>(bytes)
-}
-
-/// Rollback-recovery handler for bulk iterations: checkpoint the state
-/// every `interval` iterations, restore the latest snapshot on failure.
-pub struct CheckpointBulkHandler<T, S> {
-    store: S,
+/// Rollback-recovery handler: checkpoint the iteration state every
+/// `interval` iterations, restore the latest snapshot on failure. A bulk
+/// iteration's snapshot is its partitions; a delta iteration's is the
+/// solution sets plus the working set.
+pub struct CheckpointHandler<St> {
+    store: St,
     interval: u32,
     latest: Option<(u32, String)>,
     telemetry: SinkHandle,
-    _records: PhantomData<fn(T)>,
 }
 
-impl<T, S: StableStore> CheckpointBulkHandler<T, S> {
+impl<St: StableStore> CheckpointHandler<St> {
     /// Checkpoint into `store` at iterations `0, interval, 2·interval, ...`.
     ///
     /// # Panics
     /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
+    pub fn new(store: St, interval: u32) -> Self {
         assert!(interval > 0, "checkpoint interval must be at least 1");
-        CheckpointBulkHandler {
-            store,
-            interval,
-            latest: None,
-            telemetry: SinkHandle::disabled(),
-            _records: PhantomData,
-        }
+        CheckpointHandler { store, interval, latest: None, telemetry: SinkHandle::disabled() }
     }
 
     /// Report checkpoint restores to the given telemetry sink.
@@ -333,153 +276,49 @@ impl<T, S: StableStore> CheckpointBulkHandler<T, S> {
     }
 
     /// Borrow the underlying store (e.g. for byte accounting).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &St {
         &self.store
     }
 }
 
-impl<T: Data + Codec, S: StableStore> BulkFaultHandler<T> for CheckpointBulkHandler<T, S> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
-        if !iteration.is_multiple_of(self.interval) {
-            return Ok(None);
-        }
-        let start = Instant::now();
-        let bytes = encode_nested(state.as_parts());
-        let size = bytes.len() as u64;
-        let key = format!("bulk-{iteration}");
-        self.store.put(&key, &bytes)?;
-        if let Some((_, old_key)) = self.latest.replace((iteration, key)) {
-            self.store.remove(&old_key)?;
-        }
-        Ok(Some(CheckpointCost { bytes: size, duration: start.elapsed() }))
-    }
-
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        match &self.latest {
-            None => Ok(BulkRecoveryAction::Restart),
-            Some((iteration, key)) => {
-                let bytes = self.store.get(key)?.ok_or_else(|| {
-                    EngineError::Recovery(format!("checkpoint {key} vanished from stable storage"))
-                })?;
-                let parts = decode_nested::<T>(&bytes)?;
-                let iteration = *iteration;
-                self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration });
-                Ok(BulkRecoveryAction::Restored { iteration, state: Partitions::from_parts(parts) })
-            }
-        }
-    }
-}
-
-/// Rollback-recovery handler for delta iterations: snapshots both the
-/// solution sets and the working set.
-pub struct CheckpointDeltaHandler<K, V, W, S> {
-    store: S,
-    interval: u32,
-    latest: Option<(u32, String)>,
-    telemetry: SinkHandle,
-    _records: PhantomData<fn(K, V, W)>,
-}
-
-impl<K, V, W, S: StableStore> CheckpointDeltaHandler<K, V, W, S> {
-    /// Checkpoint into `store` at iterations `0, interval, 2·interval, ...`.
-    ///
-    /// # Panics
-    /// Panics when `interval` is zero.
-    pub fn new(store: S, interval: u32) -> Self {
-        assert!(interval > 0, "checkpoint interval must be at least 1");
-        CheckpointDeltaHandler {
-            store,
-            interval,
-            latest: None,
-            telemetry: SinkHandle::disabled(),
-            _records: PhantomData,
-        }
-    }
-
-    /// Report checkpoint restores to the given telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: SinkHandle) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The iteration of the most recent snapshot, if any.
-    pub fn latest_checkpoint(&self) -> Option<u32> {
-        self.latest.as_ref().map(|(iteration, _)| *iteration)
-    }
-
-    /// Borrow the underlying store.
-    pub fn store(&self) -> &S {
-        &self.store
-    }
-}
-
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for CheckpointDeltaHandler<K, V, W, S>
-where
-    K: Data + Codec + std::hash::Hash + Eq,
-    V: Data + Codec,
-    W: Data + Codec,
-    S: StableStore,
-{
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
+impl<S: SnapshotState, St: StableStore> FaultHandler<S> for CheckpointHandler<St> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         if !iteration.is_multiple_of(self.interval) {
             return Ok(None);
         }
         let start = Instant::now();
         let mut bytes = Vec::new();
-        encode_solution_sets(solution, &mut bytes);
-        encode_workset(workset, &mut bytes);
-        let size = bytes.len() as u64;
-        let key = format!("delta-{iteration}");
+        state.encode_state(&mut bytes);
+        let key = format!("{}-{iteration}", S::KIND);
         self.store.put(&key, &bytes)?;
         if let Some((_, old_key)) = self.latest.replace((iteration, key)) {
             self.store.remove(&old_key)?;
         }
-        Ok(Some(CheckpointCost { bytes: size, duration: start.elapsed() }))
+        Ok(Some(CheckpointCost { bytes: bytes.len() as u64, duration: start.elapsed() }))
     }
 
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        let (iteration, key) = match &self.latest {
-            None => return Ok(DeltaRecoveryAction::Restart),
-            Some(latest) => latest,
-        };
-        let blob = self.store.get(key)?.ok_or_else(|| {
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        let Some((iteration, key)) = &self.latest else { return Ok(RecoveryAction::Restart) };
+        let bytes = self.store.get(key)?.ok_or_else(|| {
             EngineError::Recovery(format!("checkpoint {key} vanished from stable storage"))
         })?;
-        let mut input = blob.as_slice();
-        let solution = decode_solution_sets::<K, V>(&mut input)?;
-        let workset = decode_workset::<W>(&mut input)?;
-        if !input.is_empty() {
-            return Err(EngineError::Codec("trailing bytes in delta checkpoint".into()));
-        }
+        let state = S::decode_state(&bytes)?;
         let iteration = *iteration;
         self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration });
-        Ok(DeltaRecoveryAction::Restored { iteration, solution, workset })
+        Ok(RecoveryAction::Restored { iteration, state })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::dataset::Partitions;
+    use dataflow::ft::{DeltaState, SolutionSets};
 
     #[test]
     fn cost_model_delay_scales_with_bytes() {
@@ -527,8 +366,7 @@ mod tests {
 
     #[test]
     fn bulk_handler_checkpoints_on_interval_and_restores() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 2);
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 2);
         let state0 = Partitions::round_robin(vec![1u64, 2, 3, 4], 2);
         // Iteration 0: checkpointed. Iteration 1: skipped. Iteration 2: checkpointed.
         assert!(handler.after_superstep(0, &state0).unwrap().is_some());
@@ -541,7 +379,7 @@ mod tests {
         let mut broken = state2.clone();
         broken.clear_partition(0);
         match handler.on_failure(3, &[0], &mut broken).unwrap() {
-            BulkRecoveryAction::Restored { iteration, state } => {
+            RecoveryAction::Restored { iteration, state } => {
                 assert_eq!(iteration, 2);
                 assert_eq!(state, state2);
             }
@@ -551,19 +389,17 @@ mod tests {
 
     #[test]
     fn bulk_handler_restarts_before_first_checkpoint() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 5);
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 5);
         let mut state = Partitions::round_robin(vec![1u64], 1);
         match handler.on_failure(0, &[0], &mut state).unwrap() {
-            BulkRecoveryAction::Restart => {}
+            RecoveryAction::Restart => {}
             _ => panic!("no checkpoint yet: must restart"),
         }
     }
 
     #[test]
     fn old_checkpoints_are_garbage_collected() {
-        let mut handler: CheckpointBulkHandler<u64, _> =
-            CheckpointBulkHandler::new(MemoryStore::new(), 1);
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 1);
         let state = Partitions::round_robin(vec![1u64, 2], 2);
         for iteration in 0..5 {
             handler.after_superstep(iteration, &state).unwrap();
@@ -573,23 +409,22 @@ mod tests {
 
     #[test]
     fn delta_handler_roundtrips_solution_and_workset() {
-        let mut handler: CheckpointDeltaHandler<u64, u64, (u64, u64), _> =
-            CheckpointDeltaHandler::new(MemoryStore::new(), 1);
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 1);
         let mut solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
         solution[0].insert(2, 20);
         solution[1].insert(1, 10);
         let workset = Partitions::from_parts(vec![vec![(2u64, 20u64)], vec![]]);
-        let cost = handler.after_superstep(4, &solution, &workset).unwrap().unwrap();
+        let cost = handler.after_superstep(4, &DeltaState { solution, workset }).unwrap().unwrap();
         assert!(cost.bytes > 0);
 
-        let mut broken_solution: SolutionSets<u64, u64> = vec![Default::default(); 2];
-        let mut broken_workset = Partitions::empty(2);
-        match handler.on_failure(5, &[0], &mut broken_solution, &mut broken_workset).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution: s, workset: w } => {
+        let mut broken: DeltaState<u64, u64, (u64, u64)> =
+            DeltaState { solution: vec![Default::default(); 2], workset: Partitions::empty(2) };
+        match handler.on_failure(5, &[0], &mut broken).unwrap() {
+            RecoveryAction::Restored { iteration, state } => {
                 assert_eq!(iteration, 4);
-                assert_eq!(s[0].get(&2), Some(&20));
-                assert_eq!(s[1].get(&1), Some(&10));
-                assert_eq!(w.partition(0), &[(2, 20)]);
+                assert_eq!(state.solution[0].get(&2), Some(&20));
+                assert_eq!(state.solution[1].get(&1), Some(&10));
+                assert_eq!(state.workset.partition(0), &[(2, 20)]);
             }
             _ => panic!("expected a rollback"),
         }
@@ -597,12 +432,11 @@ mod tests {
 
     #[test]
     fn delta_handler_restarts_before_first_checkpoint() {
-        let mut handler: CheckpointDeltaHandler<u64, u64, u64, _> =
-            CheckpointDeltaHandler::new(MemoryStore::new(), 3);
-        let mut solution: SolutionSets<u64, u64> = vec![Default::default()];
-        let mut workset: Partitions<u64> = Partitions::empty(1);
-        match handler.on_failure(1, &[0], &mut solution, &mut workset).unwrap() {
-            DeltaRecoveryAction::Restart => {}
+        let mut handler = CheckpointHandler::new(MemoryStore::new(), 3);
+        let mut state: DeltaState<u64, u64, u64> =
+            DeltaState { solution: vec![Default::default()], workset: Partitions::empty(1) };
+        match handler.on_failure(1, &[0], &mut state).unwrap() {
+            RecoveryAction::Restart => {}
             _ => panic!("no checkpoint yet: must restart"),
         }
     }

@@ -6,43 +6,29 @@
 //! that no longer form a distribution. Experiment A1 uses this handler to
 //! show why optimistic recovery needs the compensation function at all.
 
-use dataflow::dataset::{Data, Partitions};
 use dataflow::error::Result;
-use dataflow::ft::{
-    BulkFaultHandler, BulkRecoveryAction, DeltaFaultHandler, DeltaRecoveryAction, SolutionSets,
-};
+use dataflow::ft::{FaultHandler, RecoveryAction};
 use dataflow::partition::PartitionId;
 
 /// Leaves lost partitions empty and lets the iteration continue.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IgnoreHandler;
 
-impl<T: Data> BulkFaultHandler<T> for IgnoreHandler {
+impl<S> FaultHandler<S> for IgnoreHandler {
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        Ok(BulkRecoveryAction::Ignore)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for IgnoreHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        Ok(DeltaRecoveryAction::Ignore)
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        Ok(RecoveryAction::Ignore)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataflow::dataset::Partitions;
 
     #[test]
     fn ignore_leaves_state_untouched() {
@@ -50,8 +36,8 @@ mod tests {
         let mut state = Partitions::round_robin(vec![1u64, 2, 3, 4], 2);
         state.clear_partition(0);
         let before = state.clone();
-        let action = BulkFaultHandler::on_failure(&mut handler, 2, &[0], &mut state).unwrap();
-        assert!(matches!(action, BulkRecoveryAction::Ignore));
+        let action = handler.on_failure(2, &[0], &mut state).unwrap();
+        assert!(matches!(action, RecoveryAction::Ignore));
         assert_eq!(state, before);
     }
 }

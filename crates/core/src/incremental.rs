@@ -15,23 +15,24 @@
 //! The `incremental_vs_full` rows of the recovery-comparison experiment
 //! quantify this.
 
-use std::marker::PhantomData;
+use std::hash::Hash;
 use std::time::Instant;
 
-use dataflow::codec::Codec;
+use dataflow::codec::{encode_slice, Codec};
 use dataflow::dataset::{Data, Partitions};
 use dataflow::error::{EngineError, Result};
-use dataflow::ft::{CheckpointCost, DeltaFaultHandler, DeltaRecoveryAction, SolutionSets};
+use dataflow::ft::{
+    CheckpointCost, DeltaState, FaultHandler, RecoveryAction, SnapshotState, SolutionSets,
+};
 use dataflow::partition::PartitionId;
 use telemetry::{JournalEvent, SinkHandle};
 
-use crate::checkpoint::{
-    decode_solution_sets, decode_workset, encode_solution_sets, encode_workset, StableStore,
-};
+use crate::checkpoint::StableStore;
 
-/// Incremental rollback recovery for delta iterations.
-pub struct IncrementalDeltaHandler<K, V, W, S> {
-    store: S,
+/// Incremental rollback recovery for delta iterations with solution-set
+/// entries `(K, V)`.
+pub struct IncrementalDeltaHandler<K, V, St> {
+    store: St,
     full_interval: u32,
     /// Iteration and key of the latest full snapshot.
     base: Option<(u32, String)>,
@@ -43,16 +44,15 @@ pub struct IncrementalDeltaHandler<K, V, W, S> {
     shadow: SolutionSets<K, V>,
     sequence: u64,
     telemetry: SinkHandle,
-    _records: PhantomData<fn(K, V, W)>,
 }
 
-impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
+impl<K, V, St: StableStore> IncrementalDeltaHandler<K, V, St> {
     /// Handler writing full snapshots every `full_interval` supersteps and
     /// diffs in between.
     ///
     /// # Panics
     /// Panics when `full_interval` is zero.
-    pub fn new(store: S, full_interval: u32) -> Self {
+    pub fn new(store: St, full_interval: u32) -> Self {
         assert!(full_interval > 0, "full-snapshot interval must be at least 1");
         IncrementalDeltaHandler {
             store,
@@ -62,7 +62,6 @@ impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
             shadow: Vec::new(),
             sequence: 0,
             telemetry: SinkHandle::disabled(),
-            _records: PhantomData,
         }
     }
 
@@ -73,7 +72,7 @@ impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
     }
 
     /// Borrow the underlying store (byte accounting).
-    pub fn store(&self) -> &S {
+    pub fn store(&self) -> &St {
         &self.store
     }
 
@@ -83,18 +82,17 @@ impl<K, V, W, S: StableStore> IncrementalDeltaHandler<K, V, W, S> {
     }
 }
 
-impl<K, V, W, S> DeltaFaultHandler<K, V, W> for IncrementalDeltaHandler<K, V, W, S>
+impl<K, V, W, St> FaultHandler<DeltaState<K, V, W>> for IncrementalDeltaHandler<K, V, St>
 where
-    K: Data + Codec + std::hash::Hash + Eq,
+    K: Data + Codec + Hash + Eq,
     V: Data + Codec + PartialEq,
     W: Data + Codec,
-    S: StableStore,
+    St: StableStore,
 {
     fn after_superstep(
         &mut self,
         iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
+        state: &DeltaState<K, V, W>,
     ) -> Result<Option<CheckpointCost>> {
         let start = Instant::now();
         self.sequence += 1;
@@ -102,8 +100,7 @@ where
         let mut bytes = Vec::new();
         if take_full {
             // Full base snapshot: solution + workset.
-            encode_solution_sets(solution, &mut bytes);
-            encode_workset(workset, &mut bytes);
+            state.encode_state(&mut bytes);
             let key = format!("base-{iteration}-{}", self.sequence);
             self.store.put(&key, &bytes)?;
             // Drop the superseded chain from stable storage.
@@ -115,7 +112,8 @@ where
             }
         } else {
             // Diff since the shadow: upserts per partition + the workset.
-            let upserts: Vec<Vec<(K, V)>> = solution
+            let upserts: Vec<Vec<(K, V)>> = state
+                .solution
                 .iter()
                 .enumerate()
                 .map(|(pid, set)| {
@@ -126,16 +124,13 @@ where
                         .collect()
                 })
                 .collect();
-            (upserts.len() as u64).encode(&mut bytes);
-            for part in &upserts {
-                part.encode(&mut bytes);
-            }
-            encode_workset(workset, &mut bytes);
+            upserts.encode(&mut bytes);
+            encode_slice(state.workset.as_parts(), &mut bytes);
             let key = format!("diff-{iteration}-{}", self.sequence);
             self.store.put(&key, &bytes)?;
             self.diff_chain.push(key);
         }
-        self.shadow = solution.clone();
+        self.shadow = state.solution.clone();
         Ok(Some(CheckpointCost { bytes: bytes.len() as u64, duration: start.elapsed() }))
     }
 
@@ -143,19 +138,16 @@ where
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        let (base_iteration, base_key) = match &self.base {
-            None => return Ok(DeltaRecoveryAction::Restart),
-            Some(base) => base.clone(),
+        _state: &mut DeltaState<K, V, W>,
+    ) -> Result<RecoveryAction<DeltaState<K, V, W>>> {
+        let Some((base_iteration, base_key)) = &self.base else {
+            return Ok(RecoveryAction::Restart);
         };
-        let blob = self.store.get(&base_key)?.ok_or_else(|| {
+        let base_iteration = *base_iteration;
+        let blob = self.store.get(base_key)?.ok_or_else(|| {
             EngineError::Recovery(format!("base snapshot {base_key} vanished from stable storage"))
         })?;
-        let mut input = blob.as_slice();
-        let mut solution = decode_solution_sets::<K, V>(&mut input)?;
-        let mut workset = decode_workset::<W>(&mut input)?;
+        let mut state = DeltaState::<K, V, W>::decode_state(&blob)?;
         let mut iteration = base_iteration;
 
         // Replay the diff chain on top of the base.
@@ -164,18 +156,18 @@ where
                 EngineError::Recovery(format!("diff log {diff_key} vanished from stable storage"))
             })?;
             let mut input = blob.as_slice();
-            let num_parts = u64::decode(&mut input)? as usize;
-            if num_parts != solution.len() {
+            let upserts = Vec::<Vec<(K, V)>>::decode(&mut input)?;
+            if upserts.len() != state.solution.len() {
                 return Err(EngineError::Recovery(format!(
-                    "diff log {diff_key} has {num_parts} partitions, snapshot has {}",
-                    solution.len()
+                    "diff log {diff_key} has {} partitions, snapshot has {}",
+                    upserts.len(),
+                    state.solution.len()
                 )));
             }
-            for set in solution.iter_mut() {
-                let upserts = Vec::<(K, V)>::decode(&mut input)?;
+            for (set, upserts) in state.solution.iter_mut().zip(upserts) {
                 set.extend(upserts);
             }
-            workset = decode_workset::<W>(&mut input)?;
+            state.workset = Partitions::from_parts(Vec::<Vec<W>>::decode(&mut input)?);
             iteration += 1;
         }
         self.telemetry.emit(|| JournalEvent::CheckpointRestored { iteration: base_iteration });
@@ -186,7 +178,7 @@ where
             });
         }
         // The restored state is exactly the latest checkpointed superstep.
-        Ok(DeltaRecoveryAction::Restored { iteration, solution, workset })
+        Ok(RecoveryAction::Restored { iteration, state })
     }
 }
 
@@ -196,14 +188,19 @@ mod tests {
     use crate::checkpoint::MemoryStore;
     use dataflow::hash::FxHashMap;
 
-    type Handler = IncrementalDeltaHandler<u64, u64, (u64, u64), MemoryStore>;
+    type Handler = IncrementalDeltaHandler<u64, u64, MemoryStore>;
+    type State = DeltaState<u64, u64, (u64, u64)>;
 
-    fn solution_of(entries: &[(usize, u64, u64)], parallelism: usize) -> SolutionSets<u64, u64> {
-        let mut sets: SolutionSets<u64, u64> = vec![FxHashMap::default(); parallelism];
+    fn state_of(
+        entries: &[(usize, u64, u64)],
+        parallelism: usize,
+        workset: &Partitions<(u64, u64)>,
+    ) -> State {
+        let mut solution: SolutionSets<u64, u64> = vec![FxHashMap::default(); parallelism];
         for &(pid, k, v) in entries {
-            sets[pid].insert(k, v);
+            solution[pid].insert(k, v);
         }
-        sets
+        DeltaState { solution, workset: workset.clone() }
     }
 
     #[test]
@@ -213,12 +210,10 @@ mod tests {
             (0..200).map(|k| ((k % 2) as usize, k, k)).collect();
         let workset = Partitions::from_parts(vec![vec![(0u64, 0u64)], vec![]]);
 
-        let full =
-            handler.after_superstep(0, &solution_of(&entries, 2), &workset).unwrap().unwrap();
+        let full = handler.after_superstep(0, &state_of(&entries, 2, &workset)).unwrap().unwrap();
         // One entry changes: the diff must be far smaller than the base.
         entries[7].2 = 999;
-        let diff =
-            handler.after_superstep(1, &solution_of(&entries, 2), &workset).unwrap().unwrap();
+        let diff = handler.after_superstep(1, &state_of(&entries, 2, &workset)).unwrap().unwrap();
         assert!(diff.bytes * 10 < full.bytes, "diff {} vs full {}", diff.bytes, full.bytes);
         assert_eq!(handler.chain_length(), 1);
     }
@@ -228,25 +223,24 @@ mod tests {
         let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100);
         let mut entries: Vec<(usize, u64, u64)> = (0..10).map(|k| (0usize, k, k)).collect();
         let ws0 = Partitions::from_parts(vec![vec![(1u64, 1u64)], vec![]]);
-        handler.after_superstep(0, &solution_of(&entries, 2), &ws0).unwrap();
+        handler.after_superstep(0, &state_of(&entries, 2, &ws0)).unwrap();
 
         entries[3].2 = 42;
         let ws1 = Partitions::from_parts(vec![vec![], vec![(2u64, 2u64)]]);
-        handler.after_superstep(1, &solution_of(&entries, 2), &ws1).unwrap();
+        handler.after_superstep(1, &state_of(&entries, 2, &ws1)).unwrap();
 
         entries.push((1usize, 77, 78)); // new key appears in partition 1
         let ws2 = Partitions::from_parts(vec![vec![(3u64, 3u64)], vec![]]);
-        handler.after_superstep(2, &solution_of(&entries, 2), &ws2).unwrap();
+        handler.after_superstep(2, &state_of(&entries, 2, &ws2)).unwrap();
 
-        let mut broken_solution: SolutionSets<u64, u64> = vec![FxHashMap::default(); 2];
-        let mut broken_ws: Partitions<(u64, u64)> = Partitions::empty(2);
-        match handler.on_failure(3, &[0], &mut broken_solution, &mut broken_ws).unwrap() {
-            DeltaRecoveryAction::Restored { iteration, solution, workset } => {
+        let mut broken = state_of(&[], 2, &Partitions::empty(2));
+        match handler.on_failure(3, &[0], &mut broken).unwrap() {
+            RecoveryAction::Restored { iteration, state } => {
                 assert_eq!(iteration, 2);
-                assert_eq!(solution[0].get(&3), Some(&42));
-                assert_eq!(solution[1].get(&77), Some(&78));
-                assert_eq!(solution[0].len(), 10);
-                assert_eq!(workset.partition(0), &[(3, 3)]);
+                assert_eq!(state.solution[0].get(&3), Some(&42));
+                assert_eq!(state.solution[1].get(&77), Some(&78));
+                assert_eq!(state.solution[0].len(), 10);
+                assert_eq!(state.workset.partition(0), &[(3, 3)]);
             }
             _ => panic!("expected restore"),
         }
@@ -257,11 +251,11 @@ mod tests {
         let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 2);
         let entries: Vec<(usize, u64, u64)> = (0..5).map(|k| (0usize, k, k)).collect();
         let ws = Partitions::from_parts(vec![vec![], vec![]]);
-        let solution = solution_of(&entries, 2);
-        handler.after_superstep(0, &solution, &ws).unwrap(); // full (0 % 2 == 0)
-        handler.after_superstep(1, &solution, &ws).unwrap(); // diff
+        let state = state_of(&entries, 2, &ws);
+        handler.after_superstep(0, &state).unwrap(); // full (0 % 2 == 0)
+        handler.after_superstep(1, &state).unwrap(); // diff
         assert_eq!(handler.chain_length(), 1);
-        handler.after_superstep(2, &solution, &ws).unwrap(); // full again
+        handler.after_superstep(2, &state).unwrap(); // full again
         assert_eq!(handler.chain_length(), 0);
         // Stable storage holds only the latest base.
         assert_eq!(handler.store().len(), 1);
@@ -270,10 +264,9 @@ mod tests {
     #[test]
     fn restart_before_first_snapshot() {
         let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 3);
-        let mut solution: SolutionSets<u64, u64> = vec![FxHashMap::default()];
-        let mut ws: Partitions<(u64, u64)> = Partitions::empty(1);
-        match handler.on_failure(0, &[0], &mut solution, &mut ws).unwrap() {
-            DeltaRecoveryAction::Restart => {}
+        let mut state = state_of(&[], 1, &Partitions::empty(1));
+        match handler.on_failure(0, &[0], &mut state).unwrap() {
+            RecoveryAction::Restart => {}
             _ => panic!("expected restart"),
         }
     }
@@ -283,9 +276,9 @@ mod tests {
         let mut handler: Handler = IncrementalDeltaHandler::new(MemoryStore::new(), 100);
         let entries: Vec<(usize, u64, u64)> = (0..50).map(|k| (0usize, k, k)).collect();
         let ws: Partitions<(u64, u64)> = Partitions::empty(2);
-        let solution = solution_of(&entries, 2);
-        let full = handler.after_superstep(0, &solution, &ws).unwrap().unwrap();
-        let diff = handler.after_superstep(1, &solution, &ws).unwrap().unwrap();
+        let state = state_of(&entries, 2, &ws);
+        let full = handler.after_superstep(0, &state).unwrap().unwrap();
+        let diff = handler.after_superstep(1, &state).unwrap().unwrap();
         assert!(diff.bytes < full.bytes / 10, "empty diff must be tiny ({})", diff.bytes);
     }
 }

@@ -20,12 +20,13 @@
 //!
 //! Failure-free runs proceed with **zero** fault-tolerance overhead.
 //!
-//! This crate implements, on top of the `dataflow` engine's fault hooks:
+//! This crate implements, on top of the `dataflow` engine's fault hooks, one
+//! handler per strategy; each serves bulk and delta iterations alike through
+//! the engine's single [`dataflow::ft::FaultHandler`] trait:
 //!
-//! * [`compensation`] — the compensation-function traits with closure
+//! * [`compensation`] — the compensation-function trait with closure
 //!   adapters.
-//! * [`optimistic`] — the optimistic fault handlers for bulk and delta
-//!   iterations.
+//! * [`optimistic`] — the optimistic fault handler.
 //! * [`checkpoint`] — the rollback baseline: interval checkpointing into a
 //!   [`checkpoint::StableStore`] (in-memory or on-disk) with a configurable
 //!   stable-storage cost model.
@@ -36,6 +37,8 @@
 //! * [`incremental`] — an optimised rollback variant for delta iterations
 //!   that logs solution-set diffs between full snapshots.
 //! * [`ignore`] — the do-nothing "handler" used by the ablation study.
+//! * [`RestartHandler`] — restart from scratch (the engine's default,
+//!   re-exported).
 //! * [`scenario`] — failure schedules (deterministic and random/MTBF).
 //! * [`strategy`] — experiment-facing strategy descriptors.
 
@@ -50,15 +53,12 @@ pub mod optimistic;
 pub mod scenario;
 pub mod strategy;
 
-pub use async_snapshot::{
-    AsyncSnapshotBulkHandler, AsyncSnapshotDeltaHandler, BarrierEvent, BarrierProbe,
-};
-pub use checkpoint::{
-    CheckpointBulkHandler, CheckpointDeltaHandler, CostModel, DiskStore, MemoryStore, StableStore,
-};
-pub use compensation::{BulkCompensation, DeltaCompensation};
+pub use async_snapshot::{AsyncSnapshotHandler, BarrierEvent, BarrierProbe};
+pub use checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
+pub use compensation::Compensation;
+pub use dataflow::ft::RestartHandler;
 pub use ignore::IgnoreHandler;
 pub use incremental::IncrementalDeltaHandler;
-pub use optimistic::{OptimisticBulkHandler, OptimisticDeltaHandler};
+pub use optimistic::OptimisticHandler;
 pub use scenario::{FailureScenario, RandomFailures};
 pub use strategy::Strategy;

@@ -127,12 +127,18 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
+/// Encode a slice exactly as the `Vec` holding the same elements encodes,
+/// without copying it into one.
+pub fn encode_slice<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    (items.len() as u64).encode(out);
+    for v in items {
+        v.encode(out);
+    }
+}
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        encode_slice(self, out);
     }
     fn decode(input: &mut &[u8]) -> Result<Self> {
         let len = u64::decode(input)? as usize;

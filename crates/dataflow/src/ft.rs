@@ -9,13 +9,15 @@
 //! trivially correct restart-from-scratch baseline.
 
 use std::collections::BTreeMap;
+use std::hash::Hash;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::codec::{decode_exact, encode_slice, Codec};
 use crate::dataset::{Data, Partitions};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::hash::FxHashMap;
 use crate::partition::PartitionId;
 
@@ -186,8 +188,8 @@ pub struct CheckpointCost {
     pub duration: Duration,
 }
 
-/// How a bulk-iteration fault handler recovered.
-pub enum BulkRecoveryAction<T> {
+/// How a fault handler recovered.
+pub enum RecoveryAction<S> {
     /// Lost partitions were re-initialised in place (optimistic recovery);
     /// execution continues with the next logical iteration.
     Compensated,
@@ -197,7 +199,7 @@ pub enum BulkRecoveryAction<T> {
         /// Logical iteration the restored snapshot belongs to.
         iteration: u32,
         /// The restored state.
-        state: Partitions<T>,
+        state: S,
     },
     /// Recompute everything: the engine resets to the initial input and
     /// logical iteration 0.
@@ -207,15 +209,12 @@ pub enum BulkRecoveryAction<T> {
     Ignore,
 }
 
-/// Fault handler for bulk iterations over state records of type `T`.
-pub trait BulkFaultHandler<T: Data> {
+/// Fault handler for iterations whose superstep-to-superstep state is `S`:
+/// [`Partitions`] for bulk iterations, [`DeltaState`] for delta iterations.
+pub trait FaultHandler<S> {
     /// Called after every completed superstep with the fresh state. Return
     /// the cost of a checkpoint if one was taken.
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         let _ = (iteration, state);
         Ok(None)
     }
@@ -226,56 +225,153 @@ pub trait BulkFaultHandler<T: Data> {
         &mut self,
         iteration: u32,
         lost: &[PartitionId],
-        state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>>;
+        state: &mut S,
+    ) -> Result<RecoveryAction<S>>;
 }
 
 /// Per-partition solution sets of a delta iteration: one keyed map per
 /// partition, holding the current value for every key of that partition.
 pub type SolutionSets<K, V> = Vec<FxHashMap<K, V>>;
 
-/// How a delta-iteration fault handler recovered.
-pub enum DeltaRecoveryAction<K, V, W> {
-    /// Lost solution-set partitions were re-initialised and replacement
-    /// workset records seeded (optimistic recovery).
-    Compensated,
-    /// Solution sets and workset restored from a checkpoint.
-    Restored {
-        /// Logical iteration the snapshot belongs to.
-        iteration: u32,
-        /// Restored solution sets.
-        solution: SolutionSets<K, V>,
-        /// Restored workset.
-        workset: Partitions<W>,
-    },
-    /// Recompute from the initial solution set and workset.
-    Restart,
-    /// Continue with the lost partitions empty (ablation only).
-    Ignore,
+/// The state a delta iteration carries between supersteps: the solution
+/// sets plus the working set feeding the next superstep. A failure of
+/// partition `p` destroys both `solution[p]` and the workset's partition `p`.
+#[derive(Debug, Clone)]
+pub struct DeltaState<K, V, W> {
+    /// Per-partition solution sets.
+    pub solution: SolutionSets<K, V>,
+    /// The working set.
+    pub workset: Partitions<W>,
 }
 
-/// Fault handler for delta iterations.
-pub trait DeltaFaultHandler<K: Data, V: Data, W: Data> {
-    /// Called after every completed superstep (post delta application).
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        let _ = (iteration, solution, workset);
-        Ok(None)
+/// What the engine and the fault handlers need of an iteration state.
+pub trait IterationState: Clone + 'static {
+    /// Number of partitions the state is split into.
+    fn num_partitions(&self) -> usize;
+
+    /// Drop everything partition `pid` holds, returning the number of
+    /// records lost.
+    fn drop_partition(&mut self, pid: PartitionId) -> u64;
+}
+
+/// An iteration state with a stable-storage byte format, for the rollback
+/// strategies. The formats are what checkpoints write (and what the journal
+/// reports as checkpoint bytes), so they are fixed.
+pub trait SnapshotState: IterationState {
+    /// Tag naming the state kind in stable-storage keys.
+    const KIND: &'static str;
+
+    /// Encode the whole state.
+    fn encode_state(&self, out: &mut Vec<u8>);
+
+    /// Decode a whole state written by [`SnapshotState::encode_state`].
+    fn decode_state(bytes: &[u8]) -> Result<Self>;
+
+    /// Encode partition `pid` on its own.
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>);
+
+    /// Reassemble a state from per-partition chunks written by
+    /// [`SnapshotState::encode_partition`], in partition order.
+    fn decode_partitions(chunks: &[Vec<u8>]) -> Result<Self>;
+}
+
+impl<T: Data> IterationState for Partitions<T> {
+    fn num_partitions(&self) -> usize {
+        Partitions::num_partitions(self)
     }
 
-    /// Called when partitions `lost` have had both their solution set and
-    /// workset cleared by a failure.
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>>;
+    fn drop_partition(&mut self, pid: PartitionId) -> u64 {
+        self.clear_partition(pid) as u64
+    }
+}
+
+impl<T: Data + Codec> SnapshotState for Partitions<T> {
+    const KIND: &'static str = "bulk";
+
+    fn encode_state(&self, out: &mut Vec<u8>) {
+        encode_slice(self.as_parts(), out);
+    }
+
+    fn decode_state(bytes: &[u8]) -> Result<Self> {
+        Ok(Partitions::from_parts(decode_exact::<Vec<Vec<T>>>(bytes)?))
+    }
+
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>) {
+        self.as_parts()[pid].encode(out);
+    }
+
+    fn decode_partitions(chunks: &[Vec<u8>]) -> Result<Self> {
+        let parts = chunks.iter().map(|chunk| decode_exact::<Vec<T>>(chunk));
+        Ok(Partitions::from_parts(parts.collect::<Result<_>>()?))
+    }
+}
+
+impl<K: Data + Hash + Eq, V: Data, W: Data> IterationState for DeltaState<K, V, W> {
+    fn num_partitions(&self) -> usize {
+        self.solution.len()
+    }
+
+    fn drop_partition(&mut self, pid: PartitionId) -> u64 {
+        let lost = std::mem::take(&mut self.solution[pid]).len();
+        (lost + self.workset.clear_partition(pid)) as u64
+    }
+}
+
+impl<K, V, W> SnapshotState for DeltaState<K, V, W>
+where
+    K: Data + Codec + Hash + Eq,
+    V: Data + Codec,
+    W: Data + Codec,
+{
+    const KIND: &'static str = "delta";
+
+    fn encode_state(&self, out: &mut Vec<u8>) {
+        (self.solution.len() as u64).encode(out);
+        for pid in 0..self.solution.len() {
+            encode_entries(&self.solution[pid], out);
+        }
+        encode_slice(self.workset.as_parts(), out);
+    }
+
+    fn decode_state(bytes: &[u8]) -> Result<Self> {
+        let mut input = bytes;
+        let solution = Vec::<Vec<(K, V)>>::decode(&mut input)?;
+        let workset = Vec::<Vec<W>>::decode(&mut input)?;
+        if !input.is_empty() {
+            return Err(EngineError::Codec("trailing bytes in delta checkpoint".into()));
+        }
+        Ok(DeltaState {
+            solution: solution.into_iter().map(|entries| entries.into_iter().collect()).collect(),
+            workset: Partitions::from_parts(workset),
+        })
+    }
+
+    fn encode_partition(&self, pid: PartitionId, out: &mut Vec<u8>) {
+        encode_entries(&self.solution[pid], out);
+        self.workset.as_parts()[pid].encode(out);
+    }
+
+    fn decode_partitions(chunks: &[Vec<u8>]) -> Result<Self> {
+        let mut solution = Vec::with_capacity(chunks.len());
+        let mut worksets = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let mut input = chunk.as_slice();
+            let entries = Vec::<(K, V)>::decode(&mut input)?;
+            let part = Vec::<W>::decode(&mut input)?;
+            if !input.is_empty() {
+                return Err(EngineError::Codec("trailing bytes in async snapshot chunk".into()));
+            }
+            solution.push(entries.into_iter().collect());
+            worksets.push(part);
+        }
+        Ok(DeltaState { solution, workset: Partitions::from_parts(worksets) })
+    }
+}
+
+/// Encode one solution-set partition as a `Vec<(K, V)>` in map order.
+fn encode_entries<K: Data + Codec, V: Data + Codec>(set: &FxHashMap<K, V>, out: &mut Vec<u8>) {
+    let entries: Vec<(K, V)> = set.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+    entries.encode(out);
 }
 
 // Boxed trait objects forward, so callers can pick handlers at runtime
@@ -286,12 +382,8 @@ impl FailureSource for Box<dyn FailureSource> {
     }
 }
 
-impl<T: Data> BulkFaultHandler<T> for Box<dyn BulkFaultHandler<T>> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<T>,
-    ) -> Result<Option<CheckpointCost>> {
+impl<S> FaultHandler<S> for Box<dyn FaultHandler<S>> {
+    fn after_superstep(&mut self, iteration: u32, state: &S) -> Result<Option<CheckpointCost>> {
         (**self).after_superstep(iteration, state)
     }
 
@@ -299,30 +391,9 @@ impl<T: Data> BulkFaultHandler<T> for Box<dyn BulkFaultHandler<T>> {
         &mut self,
         iteration: u32,
         lost: &[PartitionId],
-        state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
+        state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
         (**self).on_failure(iteration, lost, state)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for Box<dyn DeltaFaultHandler<K, V, W>> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        solution: &SolutionSets<K, V>,
-        workset: &Partitions<W>,
-    ) -> Result<Option<CheckpointCost>> {
-        (**self).after_superstep(iteration, solution, workset)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        solution: &mut SolutionSets<K, V>,
-        workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        (**self).on_failure(iteration, lost, solution, workset)
     }
 }
 
@@ -333,26 +404,14 @@ impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for Box<dyn DeltaFaul
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RestartHandler;
 
-impl<T: Data> BulkFaultHandler<T> for RestartHandler {
+impl<S> FaultHandler<S> for RestartHandler {
     fn on_failure(
         &mut self,
         _iteration: u32,
         _lost: &[PartitionId],
-        _state: &mut Partitions<T>,
-    ) -> Result<BulkRecoveryAction<T>> {
-        Ok(BulkRecoveryAction::Restart)
-    }
-}
-
-impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for RestartHandler {
-    fn on_failure(
-        &mut self,
-        _iteration: u32,
-        _lost: &[PartitionId],
-        _solution: &mut SolutionSets<K, V>,
-        _workset: &mut Partitions<W>,
-    ) -> Result<DeltaRecoveryAction<K, V, W>> {
-        Ok(DeltaRecoveryAction::Restart)
+        _state: &mut S,
+    ) -> Result<RecoveryAction<S>> {
+        Ok(RecoveryAction::Restart)
     }
 }
 
@@ -475,8 +534,8 @@ mod tests {
     fn restart_handler_always_restarts() {
         let mut h = RestartHandler;
         let mut state = Partitions::round_robin(vec![1u64, 2, 3], 2);
-        match BulkFaultHandler::on_failure(&mut h, 5, &[0], &mut state).unwrap() {
-            BulkRecoveryAction::Restart => {}
+        match h.on_failure(5, &[0], &mut state).unwrap() {
+            RecoveryAction::Restart => {}
             _ => panic!("expected restart"),
         }
     }

@@ -1,18 +1,16 @@
 //! Bulk iterations: the whole state dataset is recomputed every superstep.
 
-use std::rc::Rc;
-
-use telemetry::{IterationMode, JournalEvent, Norm, SpanKind, SpanRecord};
+use telemetry::IterationMode;
 
 use crate::api::{DataSet, Environment};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
-use crate::exec::{self, ExecContext, PlanCache};
-use crate::ft::{BulkFaultHandler, BulkRecoveryAction, FailureSource, NoFailures, RestartHandler};
+use crate::ft::{FailureSource, FaultHandler};
+use crate::iterate::driver::{Advanced, LoopBody, LoopBuilder};
 use crate::iterate::{ConvergenceMeasure, StatsHandle};
-use crate::operators::{InjectedSource, SourceSlot};
-use crate::plan::{DynOp, NodeId};
-use crate::stats::{FailureRecord, IterationStats, RecoveryKind, RunStats};
+use crate::operators::SourceSlot;
+use crate::plan::NodeId;
+use crate::stats::IterationStats;
 
 /// Observer callback invoked after every superstep with the (possibly
 /// recovered) state; may record gauges/counters into the superstep's stats.
@@ -49,18 +47,10 @@ type TerminationProbe = (NodeId, CardinalityProbe);
 /// assert!(stats.take().unwrap().converged);
 /// ```
 pub struct BulkIteration<T: Data> {
-    outer: Environment,
-    body: Environment,
+    builder: LoopBuilder<Partitions<T>>,
     initial_id: NodeId,
     state_slot: SourceSlot,
     head: DataSet<T>,
-    head_id: NodeId,
-    import_ids: Vec<NodeId>,
-    import_slots: Vec<SourceSlot>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn BulkFaultHandler<T>>,
-    failures: Box<dyn FailureSource>,
     observer: Option<BulkObserverFn<T>>,
     convergence: Option<BulkConvergenceProbe<T>>,
 }
@@ -72,31 +62,13 @@ impl<T: Data> BulkIteration<T> {
     /// # Panics
     /// Panics when `max_iterations` is zero.
     pub fn new(initial: &DataSet<T>, max_iterations: u32) -> Self {
-        assert!(max_iterations > 0, "an iteration needs at least one iteration");
-        let outer = initial.environment();
-        let body = Environment::with_config(outer.config());
-        let state_slot = SourceSlot::new();
-        let head = body.add_node(
-            "iteration-head",
-            vec![],
-            Box::new(InjectedSource::new(state_slot.clone())),
-        );
-        let head_id = head.node_id();
+        let builder = LoopBuilder::new(initial.environment(), max_iterations);
+        let (head, state_slot) = builder.head("iteration-head");
         BulkIteration {
-            outer,
-            body,
+            builder,
             initial_id: initial.node_id(),
             state_slot,
             head,
-            head_id,
-            import_ids: Vec::new(),
-            import_slots: Vec::new(),
-            max_iterations,
-            // Generous default: rollbacks and restarts re-execute supersteps,
-            // but runaway recovery loops should fail loudly.
-            superstep_limit: max_iterations.saturating_mul(4).saturating_add(16),
-            handler: Box::new(RestartHandler),
-            failures: Box::new(NoFailures),
             observer: None,
             convergence: None,
         }
@@ -109,32 +81,23 @@ impl<T: Data> BulkIteration<T> {
 
     /// The loop-body environment (for constructing body-local datasets).
     pub fn body_environment(&self) -> Environment {
-        self.body.clone()
+        self.builder.body.clone()
     }
 
     /// Make an outer dataset visible inside the loop body (a loop-invariant
     /// input, like the `links`/`graph` datasets of the paper's Figure 1).
     pub fn import<A: Data>(&mut self, outer: &DataSet<A>) -> DataSet<A> {
-        assert!(
-            Rc::ptr_eq(&outer.environment().inner, &self.outer.inner),
-            "import source must come from the enclosing environment"
-        );
-        let slot = SourceSlot::new();
-        let inner =
-            self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot.clone())));
-        self.import_ids.push(outer.node_id());
-        self.import_slots.push(slot);
-        inner
+        self.builder.import(outer)
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl BulkFaultHandler<T> + 'static) {
-        self.handler = Box::new(handler);
+    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<Partitions<T>> + 'static) {
+        self.builder.set_fault_handler(handler);
     }
 
     /// Install a failure source (defaults to no failures).
     pub fn set_failure_source(&mut self, failures: impl FailureSource + 'static) {
-        self.failures = Box::new(failures);
+        self.builder.set_failure_source(failures);
     }
 
     /// Install a per-superstep observer.
@@ -159,7 +122,7 @@ impl<T: Data> BulkIteration<T> {
     /// Override the chronological superstep budget (safety net against
     /// recovery live-lock; defaults to `4 * max_iterations + 16`).
     pub fn set_superstep_limit(&mut self, limit: u32) {
-        self.superstep_limit = limit;
+        self.builder.set_superstep_limit(limit);
     }
 
     /// Close the loop without a termination criterion: the iteration runs
@@ -177,14 +140,10 @@ impl<T: Data> BulkIteration<T> {
         next_state: DataSet<T>,
         termination: DataSet<C>,
     ) -> (DataSet<T>, StatsHandle) {
-        let term_id = termination.node_id();
-        assert!(
-            Rc::ptr_eq(&termination.environment().inner, &self.body.inner),
-            "termination criterion must be built inside the loop body"
-        );
+        self.builder.assert_in_body(&termination, "termination criterion");
         let probe: CardinalityProbe =
             Box::new(|e| Ok(e.downcast::<C>("termination criterion")?.total_len()));
-        self.finish(next_state, Some((term_id, probe)))
+        self.finish(next_state, Some((termination.node_id(), probe)))
     }
 
     fn finish(
@@ -192,389 +151,117 @@ impl<T: Data> BulkIteration<T> {
         next_state: DataSet<T>,
         termination: Option<TerminationProbe>,
     ) -> (DataSet<T>, StatsHandle) {
-        assert!(
-            Rc::ptr_eq(&next_state.environment().inner, &self.body.inner),
-            "next state must be built inside the loop body"
-        );
-        let stats = StatsHandle::new();
-        let op = IterateBulkOp {
-            body: self.body,
-            head_id: self.head_id,
+        self.builder.assert_in_body(&next_state, "next state");
+        let body = BulkBody {
+            head_id: self.head.node_id(),
             state_slot: self.state_slot,
-            import_slots: self.import_slots,
             next_id: next_state.node_id(),
             termination,
-            max_iterations: self.max_iterations,
-            superstep_limit: self.superstep_limit,
-            handler: self.handler,
-            failures: self.failures,
             observer: self.observer,
             convergence: self.convergence,
-            stats: stats.clone(),
+            previous: None,
         };
-        let mut inputs = vec![self.initial_id];
-        inputs.extend(&self.import_ids);
-        let result = self.outer.add_node("bulk-iteration", inputs, Box::new(op));
-        (result, stats)
+        self.builder.close("bulk-iteration", &[self.initial_id], body)
     }
 }
 
-struct IterateBulkOp<T: Data> {
-    body: Environment,
+/// What a bulk iteration adds to the shared superstep driver.
+struct BulkBody<T: Data> {
     head_id: NodeId,
     state_slot: SourceSlot,
-    import_slots: Vec<SourceSlot>,
     next_id: NodeId,
     termination: Option<TerminationProbe>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn BulkFaultHandler<T>>,
-    failures: Box<dyn FailureSource>,
     observer: Option<BulkObserverFn<T>>,
     convergence: Option<BulkConvergenceProbe<T>>,
-    stats: StatsHandle,
+    /// The pre-superstep state, kept for the convergence probe.
+    previous: Option<Partitions<T>>,
 }
 
-impl<T: Data> DynOp for IterateBulkOp<T> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let parallelism = ctx.config.parallelism;
-        let initial: Partitions<T> = inputs[0].clone().take("BulkIteration(initial)")?;
-        for (slot, input) in self.import_slots.iter().zip(&inputs[1..]) {
-            slot.fill(input.clone());
-        }
+impl<T: Data> LoopBody for BulkBody<T> {
+    type State = Partitions<T>;
+    const MODE: IterationMode = IterationMode::Bulk;
+    const KIND: &'static str = "BulkIteration";
 
-        // Loop-invariant caching: body nodes that never read the iteration
-        // state run once and are reused in every superstep.
-        let volatile = {
-            let inner = self.body.inner.borrow();
-            if ctx.config.loop_invariant_caching {
-                inner.graph.volatility(&[self.head_id])
-            } else {
-                vec![true; inner.graph.len()]
-            }
+    fn heads(&self) -> Vec<NodeId> {
+        vec![self.head_id]
+    }
+
+    fn targets(&self) -> Vec<NodeId> {
+        let mut targets = vec![self.next_id];
+        targets.extend(self.termination.as_ref().map(|(term_id, _)| *term_id));
+        targets
+    }
+
+    fn initial(&self, inputs: &[Erased], _parallelism: usize) -> Result<Partitions<T>> {
+        inputs[0].clone().take("BulkIteration(initial)")
+    }
+
+    fn finished(&self, _state: &Partitions<T>) -> bool {
+        false
+    }
+
+    fn converges_at_max(&self) -> bool {
+        self.termination.is_none()
+    }
+
+    fn inject(&mut self, state: Partitions<T>, probing: bool) {
+        // The convergence probe compares against the pre-superstep state,
+        // which the injection slot is about to consume.
+        self.previous = (probing && self.convergence.is_some()).then(|| state.clone());
+        self.state_slot.fill(Erased::new(state));
+    }
+
+    fn reclaim(&mut self) -> Result<Partitions<T>> {
+        self.state_slot
+            .get()
+            .ok_or_else(|| {
+                EngineError::Iteration("pre-superstep state lost after partition panic".into())
+            })?
+            .take("BulkIteration(panic recovery)")
+    }
+
+    fn advance(&mut self, outputs: Vec<Erased>, probing: bool) -> Result<Advanced<Partitions<T>>> {
+        let mut outputs = outputs.into_iter();
+        let next: Partitions<T> =
+            outputs.next().expect("next-state output").take("BulkIteration(next)")?;
+        let term_empty = match (&self.termination, outputs.next()) {
+            (Some((_, probe)), Some(criterion)) => probe(&criterion)? == 0,
+            _ => false,
         };
-        let mut invariant_cache = PlanCache::new();
-
-        let mut run = RunStats::default();
-        let mut state = initial.clone();
-        let mut iteration: u32 = 0;
-        let mut superstep: u32 = 0;
-        let mut converged = false;
-        let telemetry = ctx.config.telemetry.clone();
-        telemetry.emit(|| JournalEvent::RunStarted {
-            mode: IterationMode::Bulk,
-            parallelism,
-            max_iterations: self.max_iterations,
+        let measure = probing.then(|| match (&mut self.convergence, self.previous.take()) {
+            (Some(probe), Some(prev)) => probe(&prev, &next),
+            // Bulk recomputes the whole state: without a probe, every
+            // record counts as changed.
+            _ => ConvergenceMeasure {
+                changed_per_partition: next.partition_sizes().iter().map(|&n| n as u64).collect(),
+                delta_norm: None,
+            },
         });
-        let run_timer = telemetry.timer(SpanKind::Run, None, None);
+        Ok(Advanced { next, term_empty, measure, delta_updates: None })
+    }
 
-        while iteration < self.max_iterations {
-            if superstep >= self.superstep_limit {
-                return Err(EngineError::Iteration(format!(
-                    "superstep budget of {} exhausted at logical iteration {iteration} \
-                     (likely a recovery live-lock)",
-                    self.superstep_limit
-                )));
-            }
+    fn workset_sizes(&self, _state: &Partitions<T>) -> Option<Vec<u64>> {
+        None
+    }
 
-            // 1. Execute the loop body over the current state.
-            let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
-            let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            // The convergence probe compares against the pre-superstep
-            // state, which the injection slot is about to consume.
-            let probe_prev: Option<Partitions<T>> =
-                (telemetry.enabled() && self.convergence.is_some()).then(|| state.clone());
-            self.state_slot.fill(Erased::new(state));
-            let compute_timer =
-                telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
-            let mut targets = vec![self.next_id];
-            if let Some((term_id, _)) = &self.termination {
-                targets.push(*term_id);
-            }
-            let body_result = {
-                let mut inner = self.body.inner.borrow_mut();
-                exec::execute_cached(
-                    &mut inner.graph,
-                    &targets,
-                    &step_ctx,
-                    &volatile,
-                    &mut invariant_cache,
-                )
-            };
-            let outputs = match body_result {
-                Ok(outputs) => outputs,
-                Err(
-                    failure @ (EngineError::PartitionPanic { .. } | EngineError::WorkerLost { .. }),
-                ) => {
-                    // A UDF panicked — or a cluster worker process died —
-                    // mid-superstep: the step's outputs never materialised,
-                    // so recover the pre-superstep state from the injection
-                    // slot (which still holds it), treat the affected
-                    // partitions as failed, and redo the logical iteration.
-                    // Partial counters and shuffle bookkeeping of the
-                    // aborted step are discarded — no SuperstepCompleted
-                    // entry exists for it.
-                    let duration = compute_timer.finish();
-                    let _ = step_ctx.drain();
-                    let _ = step_ctx.take_shuffle_time();
-                    let mut recovered: Partitions<T> = self
-                        .state_slot
-                        .get()
-                        .ok_or_else(|| {
-                            EngineError::Iteration(
-                                "pre-superstep state lost after partition panic".into(),
-                            )
-                        })?
-                        .take("BulkIteration(panic recovery)")?;
-                    let lost: Vec<usize> = match &failure {
-                        EngineError::PartitionPanic { pid, .. } => vec![*pid],
-                        EngineError::WorkerLost { pids, .. } => pids.clone(),
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    };
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += recovered.clear_partition(pid) as u64;
-                    }
-                    match &failure {
-                        EngineError::PartitionPanic { pid, .. } => {
-                            let pid = *pid;
-                            telemetry.emit(|| JournalEvent::PartitionPanicked {
-                                superstep,
-                                iteration,
-                                pid,
-                            });
-                        }
-                        EngineError::WorkerLost { worker, .. } => {
-                            let worker = *worker;
-                            telemetry.emit(|| JournalEvent::WorkerLost {
-                                superstep,
-                                iteration,
-                                worker,
-                                lost_partitions: lost.clone(),
-                            });
-                        }
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(iteration, &lost, &mut recovered)?;
-                    // Unlike an injected failure (which destroys the step's
-                    // *output*), a panic leaves no output at all, so the
-                    // surviving logical iteration is the one that must be
-                    // redone: compensation and ignore re-run `iteration`
-                    // itself, a restored checkpoint resumes after its own
-                    // iteration, restart goes back to zero.
-                    let next_iteration;
-                    let recovery = match action {
-                        BulkRecoveryAction::Compensated => {
-                            next_iteration = iteration;
-                            RecoveryKind::Compensated
-                        }
-                        BulkRecoveryAction::Restored {
-                            iteration: restored,
-                            state: restored_state,
-                        } => {
-                            recovered = restored_state;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        BulkRecoveryAction::Restart => {
-                            recovered = initial.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        BulkRecoveryAction::Ignore => {
-                            next_iteration = iteration;
-                            RecoveryKind::Ignored
-                        }
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    let mut istats = IterationStats {
-                        superstep,
-                        iteration,
-                        duration,
-                        records_shuffled: 0,
-                        failure: Some(FailureRecord {
-                            lost_partitions: lost,
-                            lost_records,
-                            recovery,
-                            recovery_duration,
-                        }),
-                        ..Default::default()
-                    };
-                    if let Some(observer) = &mut self.observer {
-                        observer(iteration, &recovered, &mut istats);
-                    }
-                    run.iterations.push(istats);
-                    let _ = step_timer.finish();
-                    superstep += 1;
-                    state = recovered;
-                    iteration = next_iteration;
-                    continue;
-                }
-                Err(other) => return Err(other),
-            };
-            let mut next: Partitions<T> = outputs[0].clone().take("BulkIteration(next)")?;
-            let duration = compute_timer.finish();
-            let term_empty = match &self.termination {
-                Some((_, probe)) => probe(&outputs[1])? == 0,
-                None => false,
-            };
-
-            // 2. Superstep statistics.
-            let (counters, shuffled) = step_ctx.drain();
-            let shuffle_time = step_ctx.take_shuffle_time();
-            if shuffle_time > std::time::Duration::ZERO {
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Shuffle,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: shuffle_time,
-                });
-            }
-            telemetry.emit(|| JournalEvent::SuperstepCompleted {
-                superstep,
-                iteration,
-                records_shuffled: shuffled,
-                workset_size: None,
-            });
-            if telemetry.enabled() {
-                let measure = match (&mut self.convergence, &probe_prev) {
-                    (Some(probe), Some(prev)) => probe(prev, &next),
-                    // Bulk recomputes the whole state: without a probe,
-                    // every record counts as changed.
-                    _ => ConvergenceMeasure {
-                        changed_per_partition: next
-                            .partition_sizes()
-                            .iter()
-                            .map(|&n| n as u64)
-                            .collect(),
-                        delta_norm: None,
-                    },
-                };
-                telemetry.emit(|| JournalEvent::ConvergenceSample {
-                    superstep,
-                    iteration,
-                    changed: measure.changed(),
-                    changed_per_partition: measure.changed_per_partition,
-                    delta_norm: measure.delta_norm.map(Norm),
-                    workset_per_partition: None,
-                });
-            }
-            let mut istats = IterationStats {
-                superstep,
-                iteration,
-                duration,
-                counters,
-                records_shuffled: shuffled,
-                ..Default::default()
-            };
-
-            // 3. Fault-tolerance hook (checkpointing).
-            if let Some(cost) = self.handler.after_superstep(iteration, &next)? {
-                telemetry.emit(|| JournalEvent::CheckpointWritten { iteration, bytes: cost.bytes });
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Checkpoint,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: cost.duration,
-                });
-                istats.checkpoint_bytes = Some(cost.bytes);
-                istats.checkpoint_duration = Some(cost.duration);
-            }
-
-            // 4. Failure injection and recovery.
-            let mut failed = false;
-            let mut next_iteration = iteration + 1;
-            if let Some(lost) = self.failures.poll(superstep, parallelism) {
-                if !lost.is_empty() {
-                    failed = true;
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += next.clear_partition(pid) as u64;
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(iteration, &lost, &mut next)?;
-                    let recovery = match action {
-                        BulkRecoveryAction::Compensated => RecoveryKind::Compensated,
-                        BulkRecoveryAction::Restored {
-                            iteration: restored,
-                            state: restored_state,
-                        } => {
-                            next = restored_state;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        BulkRecoveryAction::Restart => {
-                            next = initial.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        BulkRecoveryAction::Ignore => RecoveryKind::Ignored,
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    istats.failure = Some(FailureRecord {
-                        lost_partitions: lost,
-                        lost_records,
-                        recovery,
-                        recovery_duration,
-                    });
-                }
-            }
-
-            // 5. Observe, record, decide termination.
-            if let Some(observer) = &mut self.observer {
-                observer(iteration, &next, &mut istats);
-            }
-            run.iterations.push(istats);
-            let _ = step_timer.finish();
-            superstep += 1;
-            state = next;
-            if term_empty && !failed {
-                converged = true;
-                break;
-            }
-            iteration = next_iteration;
+    fn observe(&mut self, iteration: u32, state: &Partitions<T>, stats: &mut IterationStats) {
+        if let Some(observer) = &mut self.observer {
+            observer(iteration, state, stats);
         }
-
-        run.converged = converged || self.termination.is_none();
-        run.total_duration = run_timer.finish();
-        telemetry.emit(|| JournalEvent::RunCompleted {
-            supersteps: run.supersteps(),
-            iterations: run.logical_iterations(),
-            converged: run.converged,
-        });
-        self.stats.set(run);
-        Ok(Erased::new(state))
     }
 
-    fn kind(&self) -> &'static str {
-        "BulkIteration"
+    fn output(&self, state: Partitions<T>) -> Erased {
+        Erased::new(state)
     }
 
-    fn body_explain(&self) -> Option<String> {
-        let inner = self.body.inner.borrow();
+    fn explain(&self, body: &Environment) -> String {
+        let inner = body.inner.borrow();
         let mut text = inner.graph.explain(self.next_id);
         if let Some((term_id, _)) = &self.termination {
             text.push_str("(termination criterion:)\n");
             text.push_str(&inner.graph.explain(*term_id));
         }
-        Some(text)
+        text
     }
 }
 
@@ -582,12 +269,35 @@ impl<T: Data> DynOp for IterateBulkOp<T> {
 mod tests {
     use super::*;
     use crate::ft::DeterministicFailures;
+    use crate::stats::RecoveryKind;
 
     /// Fixpoint toy: state records move towards zero by one per iteration.
     fn countdown_env() -> (Environment, DataSet<u64>) {
         let env = Environment::new(4);
         let initial = env.from_vec(vec![5u64, 3, 8, 1, 0, 4, 9, 2]);
         (env, initial)
+    }
+
+    #[test]
+    fn a_closed_loop_is_freed_with_its_environment() {
+        use std::sync::Arc;
+
+        let marker = Arc::new(());
+        {
+            let (_env, initial) = countdown_env();
+            let it = BulkIteration::new(&initial, 3);
+            let probe = marker.clone();
+            let next = it.state().map("dec", move |n: &u64| {
+                let _ = &probe;
+                n.saturating_sub(1)
+            });
+            let (result, _) = it.close(next);
+            result.collect().unwrap();
+        }
+        // The iteration node lives in the outer plan; a reference from it
+        // back to the outer environment would leak the loop body (and, on
+        // the cluster, the worker processes it owns).
+        assert_eq!(Arc::strong_count(&marker), 1, "the loop body outlived its environment");
     }
 
     #[test]

@@ -4,21 +4,19 @@
 use std::hash::Hash;
 use std::rc::Rc;
 
-use telemetry::{IterationMode, JournalEvent, Norm, SpanKind, SpanRecord};
+use telemetry::IterationMode;
 
 use crate::api::{DataSet, Environment};
 use crate::dataset::{Data, Erased, Partitions};
 use crate::error::{EngineError, Result};
-use crate::exec::{self, ExecContext, PlanCache};
-use crate::ft::{
-    DeltaFaultHandler, DeltaRecoveryAction, FailureSource, NoFailures, RestartHandler, SolutionSets,
-};
+use crate::ft::{DeltaState, FailureSource, FaultHandler, SolutionSets};
 use crate::hash::{fx_hash, FxHashMap};
-use crate::iterate::StatsHandle;
-use crate::operators::{InjectedSource, SourceSlot};
+use crate::iterate::driver::{Advanced, LoopBody, LoopBuilder};
+use crate::iterate::{ConvergenceMeasure, StatsHandle};
+use crate::operators::SourceSlot;
 use crate::partition::hash_partition;
-use crate::plan::{DynOp, NodeId};
-use crate::stats::{FailureRecord, IterationStats, RecoveryKind, RunStats};
+use crate::plan::NodeId;
+use crate::stats::IterationStats;
 
 /// Observer callback for delta iterations: sees the solution sets and the
 /// working set entering the next iteration.
@@ -71,22 +69,13 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 /// assert!(stats.take().unwrap().converged);
 /// ```
 pub struct DeltaIteration<K: SolutionKey, V: Data, W: Data> {
-    outer: Environment,
-    body: Environment,
+    builder: LoopBuilder<DeltaState<K, V, W>>,
     initial_solution_id: NodeId,
     initial_workset_id: NodeId,
     solution_slot: SourceSlot,
     workset_slot: SourceSlot,
     solution_head: DataSet<(K, V)>,
     workset_head: DataSet<W>,
-    solution_head_id: NodeId,
-    workset_head_id: NodeId,
-    import_ids: Vec<NodeId>,
-    import_slots: Vec<SourceSlot>,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn DeltaFaultHandler<K, V, W>>,
-    failures: Box<dyn FailureSource>,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
 }
@@ -102,41 +91,22 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         initial_workset: &DataSet<W>,
         max_iterations: u32,
     ) -> Self {
-        assert!(max_iterations > 0, "an iteration needs at least one iteration");
         let outer = initial_solution.environment();
         assert!(
             Rc::ptr_eq(&initial_workset.environment().inner, &outer.inner),
             "solution set and workset must come from the same environment"
         );
-        let body = Environment::with_config(outer.config());
-        let solution_slot = SourceSlot::new();
-        let workset_slot = SourceSlot::new();
-        let solution_head = body.add_node(
-            "solution-set",
-            vec![],
-            Box::new(InjectedSource::new(solution_slot.clone())),
-        );
-        let workset_head =
-            body.add_node("workset", vec![], Box::new(InjectedSource::new(workset_slot.clone())));
-        let solution_head_id = solution_head.node_id();
-        let workset_head_id = workset_head.node_id();
+        let builder = LoopBuilder::new(outer, max_iterations);
+        let (solution_head, solution_slot) = builder.head("solution-set");
+        let (workset_head, workset_slot) = builder.head("workset");
         DeltaIteration {
-            outer,
-            body,
+            builder,
             initial_solution_id: initial_solution.node_id(),
             initial_workset_id: initial_workset.node_id(),
             solution_slot,
             workset_slot,
             solution_head,
             workset_head,
-            solution_head_id,
-            workset_head_id,
-            import_ids: Vec::new(),
-            import_slots: Vec::new(),
-            max_iterations,
-            superstep_limit: max_iterations.saturating_mul(4).saturating_add(16),
-            handler: Box::new(RestartHandler),
-            failures: Box::new(NoFailures),
             observer: None,
             norm_probe: None,
         }
@@ -154,31 +124,22 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
 
     /// The loop-body environment.
     pub fn body_environment(&self) -> Environment {
-        self.body.clone()
+        self.builder.body.clone()
     }
 
     /// Make an outer dataset visible inside the loop body.
     pub fn import<A: Data>(&mut self, outer: &DataSet<A>) -> DataSet<A> {
-        assert!(
-            Rc::ptr_eq(&outer.environment().inner, &self.outer.inner),
-            "import source must come from the enclosing environment"
-        );
-        let slot = SourceSlot::new();
-        let inner =
-            self.body.add_node("import", vec![], Box::new(InjectedSource::new(slot.clone())));
-        self.import_ids.push(outer.node_id());
-        self.import_slots.push(slot);
-        inner
+        self.builder.import(outer)
     }
 
     /// Install a fault handler (defaults to restart-from-scratch).
-    pub fn set_fault_handler(&mut self, handler: impl DeltaFaultHandler<K, V, W> + 'static) {
-        self.handler = Box::new(handler);
+    pub fn set_fault_handler(&mut self, handler: impl FaultHandler<DeltaState<K, V, W>> + 'static) {
+        self.builder.set_fault_handler(handler);
     }
 
     /// Install a failure source (defaults to no failures).
     pub fn set_failure_source(&mut self, failures: impl FailureSource + 'static) {
-        self.failures = Box::new(failures);
+        self.builder.set_failure_source(failures);
     }
 
     /// Install a per-superstep observer.
@@ -203,7 +164,7 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
 
     /// Override the chronological superstep budget.
     pub fn set_superstep_limit(&mut self, limit: u32) {
-        self.superstep_limit = limit;
+        self.builder.set_superstep_limit(limit);
     }
 
     /// Close the loop. `delta` contains solution-set upserts; `next_workset`
@@ -213,55 +174,37 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         delta: DataSet<(K, V)>,
         next_workset: DataSet<W>,
     ) -> (DataSet<(K, V)>, StatsHandle) {
-        assert!(
-            Rc::ptr_eq(&delta.environment().inner, &self.body.inner),
-            "delta must be built inside the loop body"
-        );
-        assert!(
-            Rc::ptr_eq(&next_workset.environment().inner, &self.body.inner),
-            "next workset must be built inside the loop body"
-        );
-        let stats = StatsHandle::new();
-        let op = IterateDeltaOp {
-            body: self.body,
-            solution_head_id: self.solution_head_id,
-            workset_head_id: self.workset_head_id,
+        self.builder.assert_in_body(&delta, "delta");
+        self.builder.assert_in_body(&next_workset, "next workset");
+        let body = DeltaBody {
+            solution_head_id: self.solution_head.node_id(),
+            workset_head_id: self.workset_head.node_id(),
             solution_slot: self.solution_slot,
             workset_slot: self.workset_slot,
-            import_slots: self.import_slots,
             delta_id: delta.node_id(),
             next_workset_id: next_workset.node_id(),
-            max_iterations: self.max_iterations,
-            superstep_limit: self.superstep_limit,
-            handler: self.handler,
-            failures: self.failures,
             observer: self.observer,
             norm_probe: self.norm_probe,
-            stats: stats.clone(),
+            solution: Vec::new(),
         };
-        let mut inputs = vec![self.initial_solution_id, self.initial_workset_id];
-        inputs.extend(&self.import_ids);
-        let result = self.outer.add_node("delta-iteration", inputs, Box::new(op));
-        (result, stats)
+        let inputs = [self.initial_solution_id, self.initial_workset_id];
+        self.builder.close("delta-iteration", &inputs, body)
     }
 }
 
-struct IterateDeltaOp<K: SolutionKey, V: Data, W: Data> {
-    body: Environment,
+/// What a delta iteration adds to the shared superstep driver.
+struct DeltaBody<K: SolutionKey, V: Data, W: Data> {
     solution_head_id: NodeId,
     workset_head_id: NodeId,
     solution_slot: SourceSlot,
     workset_slot: SourceSlot,
-    import_slots: Vec<SourceSlot>,
     delta_id: NodeId,
     next_workset_id: NodeId,
-    max_iterations: u32,
-    superstep_limit: u32,
-    handler: Box<dyn DeltaFaultHandler<K, V, W>>,
-    failures: Box<dyn FailureSource>,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
-    stats: StatsHandle,
+    /// The solution sets while a superstep's body runs: the body reads a
+    /// materialised copy, the delta is applied to these.
+    solution: SolutionSets<K, V>,
 }
 
 /// Build per-partition solution maps from `(K, V)` records, routing each
@@ -282,9 +225,10 @@ fn build_solution_sets<K: SolutionKey, V: Data>(
 /// deterministic per-partition order.
 ///
 /// The per-superstep clone + sort keeps runs bit-reproducible (hash maps
-/// iterate in arbitrary order); at the scales this simulator targets the
-/// cost is dominated by the body's joins. An index-probed solution-set
-/// join (Flink's optimisation) would remove it and is a natural extension.
+/// iterate in arbitrary order). It is not cheap: it costs in proportion to
+/// the whole solution set, not to the workset, which puts a floor under
+/// every delta superstep. ROADMAP item 2 measures that floor and plans an
+/// index-probed solution-set join to remove it.
 fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> Partitions<(K, V)> {
     let parts = sets
         .iter()
@@ -298,368 +242,107 @@ fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> P
     Partitions::from_parts(parts)
 }
 
-impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
-    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let parallelism = ctx.config.parallelism;
-        let initial_solution: Partitions<(K, V)> =
-            inputs[0].clone().take("DeltaIteration(solution)")?;
-        let initial_workset: Partitions<W> = inputs[1].clone().take("DeltaIteration(workset)")?;
-        for (slot, input) in self.import_slots.iter().zip(&inputs[2..]) {
-            slot.fill(input.clone());
-        }
+impl<K: SolutionKey, V: Data, W: Data> LoopBody for DeltaBody<K, V, W> {
+    type State = DeltaState<K, V, W>;
+    const MODE: IterationMode = IterationMode::Delta;
+    const KIND: &'static str = "DeltaIteration";
 
-        // Loop-invariant caching over the body plan.
-        let volatile = {
-            let inner = self.body.inner.borrow();
-            if ctx.config.loop_invariant_caching {
-                inner.graph.volatility(&[self.solution_head_id, self.workset_head_id])
-            } else {
-                vec![true; inner.graph.len()]
-            }
+    fn heads(&self) -> Vec<NodeId> {
+        vec![self.solution_head_id, self.workset_head_id]
+    }
+
+    fn targets(&self) -> Vec<NodeId> {
+        vec![self.delta_id, self.next_workset_id]
+    }
+
+    fn initial(&self, inputs: &[Erased], parallelism: usize) -> Result<Self::State> {
+        let solution: Partitions<(K, V)> = inputs[0].clone().take("DeltaIteration(solution)")?;
+        Ok(DeltaState {
+            solution: build_solution_sets(&solution, parallelism),
+            workset: inputs[1].clone().take("DeltaIteration(workset)")?,
+        })
+    }
+
+    fn finished(&self, state: &Self::State) -> bool {
+        state.workset.is_empty()
+    }
+
+    fn converges_at_max(&self) -> bool {
+        false
+    }
+
+    fn inject(&mut self, state: Self::State, _probing: bool) {
+        self.solution_slot.fill(Erased::new(materialize_solution(&state.solution)));
+        self.workset_slot.fill(Erased::new(state.workset));
+        self.solution = state.solution;
+    }
+
+    fn reclaim(&mut self) -> Result<Self::State> {
+        // The solution sets have not been touched yet (upserts happen after
+        // the body); the workset comes back from its injection slot.
+        let workset = self
+            .workset_slot
+            .get()
+            .ok_or_else(|| {
+                EngineError::Iteration("pre-superstep workset lost after partition panic".into())
+            })?
+            .take("DeltaIteration(panic recovery)")?;
+        Ok(DeltaState { solution: std::mem::take(&mut self.solution), workset })
+    }
+
+    fn advance(&mut self, outputs: Vec<Erased>, probing: bool) -> Result<Advanced<Self::State>> {
+        let mut outputs = outputs.into_iter();
+        let delta: Partitions<(K, V)> =
+            outputs.next().expect("delta output").take("DeltaIteration(delta)")?;
+        let workset: Partitions<W> =
+            outputs.next().expect("workset output").take("DeltaIteration(next workset)")?;
+
+        // Apply the delta: upsert each entry into its key's partition. The
+        // norm probe must observe the solution *before* the apply loop
+        // consumes the delta.
+        let mut solution = std::mem::take(&mut self.solution);
+        let delta_size = delta.total_len() as u64;
+        let delta_norm = if probing {
+            self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
+        } else {
+            None
         };
-        let mut invariant_cache = PlanCache::new();
-
-        let initial_sets = build_solution_sets(&initial_solution, parallelism);
-        let mut solution = initial_sets.clone();
-        let mut workset = initial_workset.clone();
-
-        let mut run = RunStats::default();
-        let mut iteration: u32 = 0;
-        let mut superstep: u32 = 0;
-        let mut converged = false;
-        let telemetry = ctx.config.telemetry.clone();
-        telemetry.emit(|| JournalEvent::RunStarted {
-            mode: IterationMode::Delta,
-            parallelism,
-            max_iterations: self.max_iterations,
-        });
-        let run_timer = telemetry.timer(SpanKind::Run, None, None);
-
-        loop {
-            if workset.is_empty() {
-                converged = true;
-                break;
-            }
-            if iteration >= self.max_iterations {
-                break;
-            }
-            if superstep >= self.superstep_limit {
-                return Err(EngineError::Iteration(format!(
-                    "superstep budget of {} exhausted at logical iteration {iteration} \
-                     (likely a recovery live-lock)",
-                    self.superstep_limit
-                )));
-            }
-
-            // 1. Execute the loop body over solution view + workset.
-            let step_timer = telemetry.timer(SpanKind::Superstep, Some(superstep), Some(iteration));
-            let step_ctx = ExecContext::new(ctx.config.clone()).at_superstep(superstep);
-            self.solution_slot.fill(Erased::new(materialize_solution(&solution)));
-            self.workset_slot.fill(Erased::new(workset));
-            let compute_timer =
-                telemetry.timer(SpanKind::Compute, Some(superstep), Some(iteration));
-            let body_result = {
-                let mut inner = self.body.inner.borrow_mut();
-                exec::execute_cached(
-                    &mut inner.graph,
-                    &[self.delta_id, self.next_workset_id],
-                    &step_ctx,
-                    &volatile,
-                    &mut invariant_cache,
-                )
-            };
-            let outputs = match body_result {
-                Ok(outputs) => outputs,
-                Err(
-                    failure @ (EngineError::PartitionPanic { .. } | EngineError::WorkerLost { .. }),
-                ) => {
-                    // A UDF panicked — or a cluster worker process died —
-                    // mid-superstep: neither the delta nor the next workset
-                    // materialised, and the solution sets have not been
-                    // touched yet (upserts happen after the body). Recover
-                    // the pre-superstep workset from the injection slot,
-                    // treat the affected partitions as failed workers
-                    // (losing their solution and workset partitions), and
-                    // redo the logical iteration. Partial counters of the
-                    // aborted step are discarded — no SuperstepCompleted
-                    // entry exists for it.
-                    let duration = compute_timer.finish();
-                    let _ = step_ctx.drain();
-                    let _ = step_ctx.take_shuffle_time();
-                    let mut recovered: Partitions<W> = self
-                        .workset_slot
-                        .get()
-                        .ok_or_else(|| {
-                            EngineError::Iteration(
-                                "pre-superstep workset lost after partition panic".into(),
-                            )
-                        })?
-                        .take("DeltaIteration(panic recovery)")?;
-                    let lost: Vec<usize> = match &failure {
-                        EngineError::PartitionPanic { pid, .. } => vec![*pid],
-                        EngineError::WorkerLost { pids, .. } => pids.clone(),
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    };
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += solution[pid].len() as u64;
-                        solution[pid] = FxHashMap::default();
-                        lost_records += recovered.clear_partition(pid) as u64;
-                    }
-                    match &failure {
-                        EngineError::PartitionPanic { pid, .. } => {
-                            let pid = *pid;
-                            telemetry.emit(|| JournalEvent::PartitionPanicked {
-                                superstep,
-                                iteration,
-                                pid,
-                            });
-                        }
-                        EngineError::WorkerLost { worker, .. } => {
-                            let worker = *worker;
-                            telemetry.emit(|| JournalEvent::WorkerLost {
-                                superstep,
-                                iteration,
-                                worker,
-                                lost_partitions: lost.clone(),
-                            });
-                        }
-                        _ => unreachable!("arm matches only panic/worker-loss"),
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action =
-                        self.handler.on_failure(iteration, &lost, &mut solution, &mut recovered)?;
-                    // A panic leaves no superstep output, so compensation and
-                    // ignore re-run the current logical iteration instead of
-                    // advancing past it (injected failures destroy the
-                    // *output* and continue at `iteration + 1`).
-                    let next_iteration;
-                    let recovery = match action {
-                        DeltaRecoveryAction::Compensated => {
-                            next_iteration = iteration;
-                            RecoveryKind::Compensated
-                        }
-                        DeltaRecoveryAction::Restored {
-                            iteration: restored,
-                            solution: restored_solution,
-                            workset: restored_workset,
-                        } => {
-                            solution = restored_solution;
-                            recovered = restored_workset;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        DeltaRecoveryAction::Restart => {
-                            solution = initial_sets.clone();
-                            recovered = initial_workset.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        DeltaRecoveryAction::Ignore => {
-                            next_iteration = iteration;
-                            RecoveryKind::Ignored
-                        }
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    let mut istats = IterationStats {
-                        superstep,
-                        iteration,
-                        duration,
-                        records_shuffled: 0,
-                        workset_size: Some(recovered.total_len() as u64),
-                        failure: Some(FailureRecord {
-                            lost_partitions: lost,
-                            lost_records,
-                            recovery,
-                            recovery_duration,
-                        }),
-                        ..Default::default()
-                    };
-                    if let Some(observer) = &mut self.observer {
-                        observer(iteration, &solution, &recovered, &mut istats);
-                    }
-                    run.iterations.push(istats);
-                    let _ = step_timer.finish();
-                    superstep += 1;
-                    workset = recovered;
-                    iteration = next_iteration;
-                    continue;
-                }
-                Err(other) => return Err(other),
-            };
-            let delta: Partitions<(K, V)> = outputs[0].clone().take("DeltaIteration(delta)")?;
-            let mut next_workset: Partitions<W> =
-                outputs[1].clone().take("DeltaIteration(next workset)")?;
-
-            // 2. Apply the delta: upsert each entry into its key's partition.
-            // The norm probe must observe the solution *before* the apply
-            // loop consumes the delta.
-            let delta_size = delta.total_len() as u64;
-            let delta_norm = if telemetry.enabled() {
-                self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
-            } else {
-                None
-            };
-            let mut changed_per_partition = vec![0u64; parallelism];
-            for (k, v) in delta.into_vec() {
-                let pid = hash_partition(&k, parallelism);
-                changed_per_partition[pid] += 1;
-                solution[pid].insert(k, v);
-            }
-            let duration = compute_timer.finish();
-
-            // 3. Superstep statistics.
-            let (counters, shuffled) = step_ctx.drain();
-            let shuffle_time = step_ctx.take_shuffle_time();
-            if shuffle_time > std::time::Duration::ZERO {
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Shuffle,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: shuffle_time,
-                });
-            }
-            telemetry.emit(|| JournalEvent::SuperstepCompleted {
-                superstep,
-                iteration,
-                records_shuffled: shuffled,
-                workset_size: Some(next_workset.total_len() as u64),
-            });
-            if telemetry.enabled() {
-                let workset_per_partition: Vec<u64> =
-                    next_workset.partition_sizes().iter().map(|&n| n as u64).collect();
-                telemetry.emit(|| JournalEvent::ConvergenceSample {
-                    superstep,
-                    iteration,
-                    changed: delta_size,
-                    changed_per_partition,
-                    delta_norm: delta_norm.map(Norm),
-                    workset_per_partition: Some(workset_per_partition),
-                });
-            }
-            let mut istats = IterationStats {
-                superstep,
-                iteration,
-                duration,
-                counters,
-                records_shuffled: shuffled,
-                workset_size: Some(next_workset.total_len() as u64),
-                ..Default::default()
-            };
-            istats.counters.insert("delta_updates".into(), delta_size);
-
-            // 4. Fault-tolerance hook (checkpointing).
-            if let Some(cost) = self.handler.after_superstep(iteration, &solution, &next_workset)? {
-                telemetry.emit(|| JournalEvent::CheckpointWritten { iteration, bytes: cost.bytes });
-                telemetry.span(&SpanRecord {
-                    kind: SpanKind::Checkpoint,
-                    superstep: Some(superstep),
-                    iteration: Some(iteration),
-                    duration: cost.duration,
-                });
-                istats.checkpoint_bytes = Some(cost.bytes);
-                istats.checkpoint_duration = Some(cost.duration);
-            }
-
-            // 5. Failure injection and recovery. A failure destroys both the
-            // solution-set partition and the workset partition of the lost
-            // workers.
-            let mut next_iteration = iteration + 1;
-            if let Some(lost) = self.failures.poll(superstep, parallelism) {
-                if !lost.is_empty() {
-                    let mut lost_records = 0u64;
-                    for &pid in &lost {
-                        lost_records += solution[pid].len() as u64;
-                        solution[pid] = FxHashMap::default();
-                        lost_records += next_workset.clear_partition(pid) as u64;
-                    }
-                    telemetry.emit(|| JournalEvent::FailureInjected {
-                        superstep,
-                        iteration,
-                        lost_partitions: lost.clone(),
-                        lost_records,
-                    });
-                    let recovery_timer =
-                        telemetry.timer(SpanKind::Recovery, Some(superstep), Some(iteration));
-                    let action = self.handler.on_failure(
-                        iteration,
-                        &lost,
-                        &mut solution,
-                        &mut next_workset,
-                    )?;
-                    let recovery = match action {
-                        DeltaRecoveryAction::Compensated => RecoveryKind::Compensated,
-                        DeltaRecoveryAction::Restored {
-                            iteration: restored,
-                            solution: restored_solution,
-                            workset: restored_workset,
-                        } => {
-                            solution = restored_solution;
-                            next_workset = restored_workset;
-                            next_iteration = restored + 1;
-                            RecoveryKind::RolledBack { to_iteration: restored }
-                        }
-                        DeltaRecoveryAction::Restart => {
-                            solution = initial_sets.clone();
-                            next_workset = initial_workset.clone();
-                            next_iteration = 0;
-                            RecoveryKind::Restarted
-                        }
-                        DeltaRecoveryAction::Ignore => RecoveryKind::Ignored,
-                    };
-                    let recovery_duration = recovery_timer.finish();
-                    telemetry.emit(|| JournalEvent::from_recovery(&recovery, iteration));
-                    istats.workset_size = Some(next_workset.total_len() as u64);
-                    istats.failure = Some(FailureRecord {
-                        lost_partitions: lost,
-                        lost_records,
-                        recovery,
-                        recovery_duration,
-                    });
-                }
-            }
-
-            // 6. Observe and record.
-            if let Some(observer) = &mut self.observer {
-                observer(iteration, &solution, &next_workset, &mut istats);
-            }
-            run.iterations.push(istats);
-            let _ = step_timer.finish();
-            superstep += 1;
-            workset = next_workset;
-            iteration = next_iteration;
+        let parallelism = solution.len();
+        let mut changed_per_partition = vec![0u64; parallelism];
+        for (k, v) in delta.into_vec() {
+            let pid = hash_partition(&k, parallelism);
+            changed_per_partition[pid] += 1;
+            solution[pid].insert(k, v);
         }
-
-        run.converged = converged;
-        run.total_duration = run_timer.finish();
-        telemetry.emit(|| JournalEvent::RunCompleted {
-            supersteps: run.supersteps(),
-            iterations: run.logical_iterations(),
-            converged: run.converged,
-        });
-        self.stats.set(run);
-        Ok(Erased::new(materialize_solution(&solution)))
+        Ok(Advanced {
+            next: DeltaState { solution, workset },
+            term_empty: false,
+            measure: probing.then_some(ConvergenceMeasure { changed_per_partition, delta_norm }),
+            delta_updates: Some(delta_size),
+        })
     }
 
-    fn kind(&self) -> &'static str {
-        "DeltaIteration"
+    fn workset_sizes(&self, state: &Self::State) -> Option<Vec<u64>> {
+        Some(state.workset.partition_sizes().iter().map(|&n| n as u64).collect())
     }
 
-    fn body_explain(&self) -> Option<String> {
-        let inner = self.body.inner.borrow();
+    fn observe(&mut self, iteration: u32, state: &Self::State, stats: &mut IterationStats) {
+        if let Some(observer) = &mut self.observer {
+            observer(iteration, &state.solution, &state.workset, stats);
+        }
+    }
+
+    fn output(&self, state: Self::State) -> Erased {
+        Erased::new(materialize_solution(&state.solution))
+    }
+
+    fn explain(&self, body: &Environment) -> String {
+        let inner = body.inner.borrow();
         let mut text = String::from("(delta:)\n");
         text.push_str(&inner.graph.explain(self.delta_id));
         text.push_str("(next workset:)\n");
         text.push_str(&inner.graph.explain(self.next_workset_id));
-        Some(text)
+        text
     }
 }
 
@@ -667,6 +350,7 @@ impl<K: SolutionKey, V: Data, W: Data> DynOp for IterateDeltaOp<K, V, W> {
 mod tests {
     use super::*;
     use crate::ft::DeterministicFailures;
+    use crate::stats::{RecoveryKind, RunStats};
 
     type Label = (u64, u64);
 
@@ -768,15 +452,14 @@ mod tests {
     #[test]
     fn ignore_handler_converges_to_wrong_labels() {
         struct IgnoreAll;
-        impl<K: Data, V: Data, W: Data> DeltaFaultHandler<K, V, W> for IgnoreAll {
+        impl<S> FaultHandler<S> for IgnoreAll {
             fn on_failure(
                 &mut self,
                 _i: u32,
                 _l: &[usize],
-                _s: &mut SolutionSets<K, V>,
-                _w: &mut Partitions<W>,
-            ) -> Result<DeltaRecoveryAction<K, V, W>> {
-                Ok(DeltaRecoveryAction::Ignore)
+                _s: &mut S,
+            ) -> Result<crate::ft::RecoveryAction<S>> {
+                Ok(crate::ft::RecoveryAction::Ignore)
             }
         }
         let (labels, stats) = min_label_run(16, 4, |it| {

@@ -1,14 +1,23 @@
 //! Iterative execution: bulk and delta iterations.
 //!
-//! Both iteration kinds follow the same superstep protocol:
+//! Both iteration kinds run on one superstep driver, and one
+//! [`crate::ft::FaultHandler`] trait recovers both: the handler sees the
+//! state the iteration carries between supersteps — [`crate::dataset::Partitions`]
+//! for a bulk iteration, a [`crate::ft::DeltaState`] (solution sets plus
+//! working set) for a delta iteration. Each superstep:
 //!
 //! 1. Inject the current iteration state into the loop body's head nodes and
 //!    execute the body plan.
-//! 2. Drain per-superstep counters into an [`crate::stats::IterationStats`].
+//! 2. Turn the body's outputs into the next state (bulk: take the new state;
+//!    delta: upsert the delta into the solution sets) and drain per-superstep
+//!    counters into an [`crate::stats::IterationStats`].
 //! 3. Offer the fresh state to the fault handler (which may checkpoint).
 //! 4. Poll the failure source; on failure, drop the lost partitions and let
 //!    the fault handler recover (compensate / roll back / restart / ignore).
-//! 5. Run the user observer, then decide termination.
+//!    A UDF panic or a lost cluster worker mid-superstep takes the same
+//!    recovery path, over the pre-superstep state.
+//! 5. Run the user observer, then decide termination (bulk: an empty
+//!    termination criterion; delta: an empty working set).
 //!
 //! Logical iteration numbers move backwards on rollback and restart;
 //! chronological superstep numbers never repeat. The difference between the
@@ -16,6 +25,7 @@
 
 mod bulk;
 mod delta;
+mod driver;
 
 pub use bulk::BulkIteration;
 pub use delta::DeltaIteration;

@@ -233,25 +233,23 @@ pub fn spawn(engine: ServeEngine, listen: &str) -> std::io::Result<DaemonHandle>
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
+    // One write per reply: a body and its newline written separately leave
+    // as two segments, and with Nagle's algorithm the second waits for the
+    // client's delayed ACK — about 40 ms per round trip.
+    let mut reply = |line: String| writer.write_all(format!("{line}\n").as_bytes());
     let reader = BufReader::new(stream);
     let epoch = shared.read_snapshot().epoch;
-    let name = algorithm_name(shared.algorithm);
-    writeln!(writer, "hello {name} epoch {epoch}")?;
+    reply(format!("hello {} epoch {epoch}", algorithm_name(shared.algorithm)))?;
     for line in reader.lines() {
-        let line = line?;
-        let response = match crate::mutation::parse_line(&line) {
-            Ok(Some(command)) => {
-                let (response, quit) = dispatch(&command, shared);
-                writeln!(writer, "{response}")?;
-                if quit {
-                    return Ok(());
-                }
-                continue;
-            }
+        let (response, quit) = match crate::mutation::parse_line(&line?) {
+            Ok(Some(command)) => dispatch(&command, shared),
             Ok(None) => continue,
-            Err(message) => format!("err {message}"),
+            Err(message) => (format!("err {message}"), false),
         };
-        writeln!(writer, "{response}")?;
+        reply(response)?;
+        if quit {
+            return Ok(());
+        }
     }
     Ok(())
 }
@@ -415,6 +413,31 @@ mod tests {
         assert!(reader_responses[3].starts_with("err "), "{}", reader_responses[3]);
         assert_eq!(reader_responses[4], "ok bye");
 
+        daemon.stop();
+    }
+
+    #[test]
+    fn sequential_round_trips_do_not_stall_on_delayed_acks() {
+        let daemon = spawn(bootstrap_cc(), "127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(daemon.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("hello cc epoch "), "{line}");
+
+        // A reply written as two segments waits ~40 ms for the client's
+        // delayed ACK, so 20 round trips would take ~800 ms.
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            writer.write_all(b"get 3\n").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert_eq!(line, "ok label 0\n");
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(400), "20 round trips took {elapsed:?}");
+        writer.write_all(b"quit\n").unwrap();
         daemon.stop();
     }
 }

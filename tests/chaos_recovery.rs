@@ -16,13 +16,13 @@ use algos::connected_components::{self, CcConfig};
 use algos::pagerank::{self, PrConfig};
 use algos::FtConfig;
 use dataflow::dataset::Partitions;
-use dataflow::ft::{BulkFaultHandler, BulkRecoveryAction};
+use dataflow::ft::{FaultHandler, RecoveryAction};
 use graphs::{Graph, GraphBuilder};
 use proptest::prelude::*;
 use recovery::checkpoint::{MemoryStore, StableStore};
 use recovery::scenario::FailureScenario;
 use recovery::strategy::Strategy as RecoveryStrategy;
-use recovery::AsyncSnapshotBulkHandler;
+use recovery::AsyncSnapshotHandler;
 
 /// Arbitrary undirected graph: vertex count and edge list.
 fn arb_graph(max_vertices: u64) -> impl Strategy<Value = Graph> {
@@ -299,7 +299,7 @@ fn async_snapshot_never_restores_a_partial_epoch() {
     // first chunk during iteration 2 and would complete at iteration 3. Fail
     // at iteration 3 — mid-flight — and recovery must fall back to epoch 0
     // (complete since iteration 1), never the half-persisted epoch 2.
-    let mut handler = AsyncSnapshotBulkHandler::<u64, _>::new(MemoryStore::new(), 2);
+    let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 2);
     for iteration in 0..3u32 {
         handler.after_superstep(iteration, &state_at(u64::from(iteration))).unwrap();
     }
@@ -309,7 +309,7 @@ fn async_snapshot_never_restores_a_partial_epoch() {
     let mut state = state_at(99);
     let action = handler.on_failure(3, &[1], &mut state).unwrap();
     match action {
-        BulkRecoveryAction::Restored { iteration, state } => {
+        RecoveryAction::Restored { iteration, state } => {
             assert_eq!(iteration, 0, "must restore the last complete epoch");
             assert_eq!(state.into_parts(), state_at(0).into_parts());
         }
@@ -327,13 +327,13 @@ fn async_snapshot_restarts_when_no_epoch_ever_completed() {
     // Fail before the very first epoch finishes persisting: with no
     // complete restore point the handler must order a restart, not hand
     // back half an epoch.
-    let mut handler = AsyncSnapshotBulkHandler::<u64, _>::new(MemoryStore::new(), 4);
+    let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4);
     handler.after_superstep(0, &state_at(0)).unwrap();
     assert_eq!(handler.latest_complete(), None);
     assert_eq!(handler.in_flight_epoch(), Some(0));
 
     let mut state = state_at(99);
     let action = handler.on_failure(0, &[0], &mut state).unwrap();
-    assert!(matches!(action, BulkRecoveryAction::Restart), "no complete epoch: restart");
+    assert!(matches!(action, RecoveryAction::Restart), "no complete epoch: restart");
     assert_eq!(handler.store().get("async-bulk-0-p0").unwrap(), None, "partial chunk dropped");
 }
