@@ -29,7 +29,7 @@ use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
-use graphs::{exact_components, Graph, VertexId};
+use graphs::{exact_components, Csr, Graph, VertexId};
 use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
@@ -105,17 +105,14 @@ pub struct CcResult {
 
 /// The paper's `FixComponents` compensation function.
 pub struct FixComponents {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
+    adjacency: Csr,
     parallelism: usize,
 }
 
 impl FixComponents {
     /// Compensation over the given graph.
     pub fn new(graph: &Graph, parallelism: usize) -> Self {
-        FixComponents {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
-            parallelism,
-        }
+        FixComponents { adjacency: graph.to_csr(), parallelism }
     }
 }
 
@@ -131,12 +128,12 @@ impl Compensation<DeltaState<VertexId, VertexId, Label>> for FixComponents {
         // Surviving neighbours of lost vertices: they hold correct labels
         // but stopped propagating, so they must re-enter the working set.
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
+        for (v, pid) in lost_keys(self.adjacency.num_vertices() as u64, self.parallelism, lost) {
             // Re-initialise the lost vertex to its initial (unique) label...
             solution[pid].insert(v, v);
             // ...and let it propagate again.
             workset.partition_mut(pid).push((v, v));
-            for &u in &self.adjacency[v as usize] {
+            for &u in self.adjacency.neighbors(v) {
                 if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
                     resenders.insert(u);
                 }
@@ -292,12 +289,17 @@ pub fn build_seeded(
         .reduce_by_key("candidate-label", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     // ...and updates its solution entry when the candidate improves on it.
     let updates = candidates
-        .join(
+        .join_solution(
             "label-update",
             &iteration.solution(),
             |c| c.0,
-            |s: &Label| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, &label| {
+                if c.1 < label {
+                    Some((c.0, c.1))
+                } else {
+                    None
+                }
+            },
         )
         .flat_map("updated-labels", |u: &Option<Label>| u.iter().copied().collect());
     let (result, stats) = iteration.close(updates.clone(), updates);

@@ -34,6 +34,10 @@ use crate::common::{self, FtConfig};
 /// A `(vertex, rank)` record — the iteration state of the dataflow.
 pub type Rank = (VertexId, f64);
 
+/// A `(vertex, out-neighbours)` row of the links input. The list is shared,
+/// not owned, so the rows the `find-neighbors` join emits point at it.
+type Links = (VertexId, Arc<[VertexId]>);
+
 /// Configuration of a PageRank run.
 #[derive(Debug, Clone)]
 pub struct PrConfig {
@@ -218,7 +222,9 @@ pub fn build_warm(
         }
     }
     let ranks0 = env.from_keyed_vec(initial, |r| r.0);
-    let links: Vec<(VertexId, Vec<VertexId>)> = graph.adjacency_rows();
+    // Rows share their neighbour lists, so pairing a rank with its links
+    // every superstep bumps a reference count instead of copying the list.
+    let links: Vec<Links> = graph.vertices().map(|v| (v, graph.neighbors(v).into())).collect();
     let links_ds = env.from_keyed_vec(links, |l| l.0);
 
     let mut iteration = BulkIteration::new(&ranks0, config.max_iterations);
@@ -294,12 +300,12 @@ pub fn build_warm(
         "find-neighbors",
         &links_in,
         |r: &Rank| r.0,
-        |l: &(VertexId, Vec<VertexId>)| l.0,
-        |r, l| (r.0, r.1, l.1.clone()),
+        |l: &Links| l.0,
+        |r, l| (r.0, r.1, Arc::clone(&l.1)),
     );
     // ...and propagates a fraction of its rank to each of them.
     let contributions = with_links
-        .flat_map("contribute", |&(_, rank, ref neighbors): &(VertexId, f64, Vec<VertexId>)| {
+        .flat_map("contribute", |&(_, rank, ref neighbors): &(VertexId, f64, Arc<[VertexId]>)| {
             let share = rank / neighbors.len().max(1) as f64;
             neighbors.iter().map(|&w| (w, share)).collect()
         })
@@ -309,7 +315,7 @@ pub fn build_warm(
     let dangling_mass = with_links.global_fold(
         "dangling-mass",
         0.0f64,
-        |acc, r: &(VertexId, f64, Vec<VertexId>)| {
+        |acc, r: &(VertexId, f64, Arc<[VertexId]>)| {
             if r.2.is_empty() {
                 *acc += r.1;
             }

@@ -8,15 +8,13 @@
 //! Used e.g. for garbage-collection-style liveness over object graphs and
 //! influence spread over social networks.
 
-use std::sync::Arc;
-
 use dataflow::error::Result;
 use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
-use graphs::{Graph, VertexId};
+use graphs::{Csr, Graph, VertexId};
 use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
@@ -85,7 +83,7 @@ pub fn bfs_reachability(graph: &Graph, seeds: &[VertexId]) -> Vec<bool> {
 /// Compensation for reachability: reset lost vertices to their seed status
 /// and let the reached survivors on the boundary re-propagate.
 pub struct FixReachability {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
+    adjacency: Csr,
     seeds: FxHashSet<VertexId>,
     parallelism: usize,
 }
@@ -94,7 +92,7 @@ impl FixReachability {
     /// Compensation over the given graph and seed set.
     pub fn new(graph: &Graph, seeds: &[VertexId], parallelism: usize) -> Self {
         FixReachability {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
+            adjacency: graph.to_csr(),
             seeds: seeds.iter().copied().collect(),
             parallelism,
         }
@@ -111,13 +109,13 @@ impl Compensation<DeltaState<VertexId, bool, Reach>> for FixReachability {
         let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
+        for (v, pid) in lost_keys(self.adjacency.num_vertices() as u64, self.parallelism, lost) {
             let initially_reached = self.seeds.contains(&v);
             solution[pid].insert(v, initially_reached);
             if initially_reached {
                 workset.partition_mut(pid).push((v, true));
             }
-            for &u in &self.adjacency[v as usize] {
+            for &u in self.adjacency.neighbors(v) {
                 if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
                     resenders.insert(u);
                 }
@@ -187,12 +185,17 @@ pub fn run(graph: &Graph, config: &ReachConfig) -> Result<ReachResult> {
         .distinct_by("dedupe-notifications", |c: &Reach| c.0);
     // ...and a vertex flips exactly once, from unreached to reached.
     let updates = candidates
-        .join(
+        .join_solution(
             "reach-update",
             &iteration.solution(),
             |c| c.0,
-            |s: &Reach| s.0,
-            |c, s| if !s.1 { Some((c.0, true)) } else { None },
+            |c, &reached| {
+                if reached {
+                    None
+                } else {
+                    Some((c.0, true))
+                }
+            },
         )
         .flat_map("newly-reached", |u: &Option<Reach>| u.iter().copied().collect());
     let (result, handle) = iteration.close(updates.clone(), updates);

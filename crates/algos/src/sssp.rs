@@ -8,15 +8,13 @@
 //! vertices to their *initial* distances (`0` for the source, `∞`
 //! otherwise) and re-seeding propagation recovers the exact result.
 
-use std::sync::Arc;
-
 use dataflow::error::Result;
 use dataflow::ft::{DeltaState, SolutionSets};
 use dataflow::hash::FxHashSet;
 use dataflow::partition::{hash_partition, PartitionId};
 use dataflow::prelude::DeltaIteration;
 use dataflow::stats::RunStats;
-use graphs::{Graph, VertexId};
+use graphs::{Csr, Graph, VertexId};
 use recovery::compensation::{lost_keys, Compensation};
 
 use crate::common::{self, FtConfig};
@@ -88,7 +86,7 @@ pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u64> {
 /// Compensation for SSSP: reset lost vertices to their initial distances
 /// and re-seed propagation from them and their surviving neighbours.
 pub struct FixDistances {
-    adjacency: Arc<Vec<Vec<VertexId>>>,
+    adjacency: Csr,
     source: VertexId,
     parallelism: usize,
 }
@@ -96,11 +94,7 @@ pub struct FixDistances {
 impl FixDistances {
     /// Compensation over the given graph.
     pub fn new(graph: &Graph, source: VertexId, parallelism: usize) -> Self {
-        FixDistances {
-            adjacency: Arc::new(graph.adjacency_rows().into_iter().map(|(_, ns)| ns).collect()),
-            source,
-            parallelism,
-        }
+        FixDistances { adjacency: graph.to_csr(), source, parallelism }
     }
 }
 
@@ -114,14 +108,14 @@ impl Compensation<DeltaState<VertexId, u64, Distance>> for FixDistances {
         let DeltaState { solution, workset } = state;
         let lost_set: FxHashSet<PartitionId> = lost.iter().copied().collect();
         let mut resenders: FxHashSet<VertexId> = FxHashSet::default();
-        for (v, pid) in lost_keys(self.adjacency.len() as u64, self.parallelism, lost) {
+        for (v, pid) in lost_keys(self.adjacency.num_vertices() as u64, self.parallelism, lost) {
             let initial = if v == self.source { 0 } else { UNREACHABLE };
             solution[pid].insert(v, initial);
             if v == self.source {
                 // Only a finite distance is worth re-propagating.
                 workset.partition_mut(pid).push((v, 0));
             }
-            for &u in &self.adjacency[v as usize] {
+            for &u in self.adjacency.neighbors(v) {
                 if !lost_set.contains(&hash_partition(&u, self.parallelism)) {
                     resenders.insert(u);
                 }
@@ -198,12 +192,17 @@ pub fn run(graph: &Graph, config: &SsspConfig) -> Result<SsspResult> {
         .measured(common::MESSAGES)
         .reduce_by_key("candidate-distance", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
     let updates = candidates
-        .join(
+        .join_solution(
             "distance-update",
             &iteration.solution(),
             |c| c.0,
-            |s: &Distance| s.0,
-            |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+            |c, &distance| {
+                if c.1 < distance {
+                    Some((c.0, c.1))
+                } else {
+                    None
+                }
+            },
         )
         .flat_map("updated-distances", |u: &Option<Distance>| u.iter().copied().collect());
     let (result, handle) = iteration.close(updates.clone(), updates);

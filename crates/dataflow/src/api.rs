@@ -13,10 +13,11 @@ use crate::config::EnvConfig;
 use crate::dataset::{Data, Partitions};
 use crate::error::Result;
 use crate::exec::{self, ExecContext};
+use crate::iterate::{SolutionKey, SolutionSet};
 use crate::operators::{
     BroadcastMapOp, CoGroupOp, CountOp, CrossOp, DistinctByOp, FilterOp, FlatMapOp, GlobalFoldOp,
-    JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp, TopNOp, UnionOp,
-    VecSource,
+    JoinOp, MapOp, MapPartitionOp, MeasuredOp, PartitionByOp, ReduceByKeyOp, SolutionJoinOp,
+    TopNOp, UnionOp, VecSource,
 };
 use crate::plan::{DynOp, NodeId, PlanGraph};
 
@@ -260,6 +261,33 @@ impl<T: Data> DataSet<T> {
         F: Fn(&T, &R) -> O + Send + Sync + 'static,
     {
         self.binary(name, other.id, Box::new(JoinOp::new(key_left, key_right, f)))
+    }
+
+    /// Join with the solution set of the enclosing delta iteration, probed
+    /// in place: `f` runs for every record whose key has a solution entry,
+    /// with that entry's value. Records without an entry produce nothing.
+    ///
+    /// # Panics
+    /// Panics when `solution` belongs to another loop body.
+    pub fn join_solution<K, V, KL, O, F>(
+        &self,
+        name: impl Into<String>,
+        solution: &SolutionSet<K, V>,
+        key_left: KL,
+        f: F,
+    ) -> DataSet<O>
+    where
+        K: SolutionKey,
+        V: Data,
+        KL: Fn(&T) -> K + Send + Sync + 'static,
+        O: Data,
+        F: Fn(&T, &V) -> O + Send + Sync + 'static,
+    {
+        assert!(
+            Rc::ptr_eq(&solution.env.inner, &self.env.inner),
+            "the solution set must be joined inside its own loop body"
+        );
+        self.binary(name, solution.id, Box::new(SolutionJoinOp::new(key_left, f)))
     }
 
     /// Group both sides by key and hand `f` the two groups for every key

@@ -37,8 +37,9 @@ pub struct EnvConfig {
     /// stable affinity via `pid % workers`).
     pub worker_threads: Option<usize>,
     /// Cache loop-body sub-plans that do not depend on the iteration state
-    /// across supersteps (`true`, the default). Disable only for the
-    /// engine-ablation benchmarks.
+    /// across supersteps, and index a join's loop-invariant build side once
+    /// per run (`true`, the default). Disable only for the engine-ablation
+    /// benchmarks and the tests that compare both paths.
     pub loop_invariant_caching: bool,
     /// Telemetry sink receiving the structured event journal, spans and
     /// metrics of every iteration run in this environment. Defaults to the

@@ -143,24 +143,39 @@ pub struct Erased {
 impl Erased {
     /// Erase a typed dataset.
     pub fn new<T: Data>(parts: Partitions<T>) -> Self {
-        Erased { inner: Arc::new(parts) }
+        Erased::shared(Arc::new(parts))
+    }
+
+    /// Erase a value that is not a dataset, such as a delta iteration's
+    /// solution sets, which a loop body probes in place.
+    pub fn shared<X: Any + Send + Sync>(value: Arc<X>) -> Self {
+        Erased { inner: value }
     }
 
     /// Borrow the typed dataset back.
     pub fn downcast<T: Data>(&self, at: &str) -> Result<&Partitions<T>> {
-        self.inner.downcast_ref::<Partitions<T>>().ok_or_else(|| EngineError::TypeMismatch {
-            at: at.to_string(),
-            expected: std::any::type_name::<T>(),
-        })
+        self.inner.downcast_ref().ok_or_else(|| mismatch::<T>(at))
+    }
+
+    /// Borrow a value erased with [`Erased::shared`].
+    pub fn downcast_shared<X: Any>(&self, at: &str) -> Result<&X> {
+        self.inner.downcast_ref::<X>().ok_or_else(|| mismatch::<X>(at))
     }
 
     /// Recover an owned typed dataset, cloning only if the handle is shared.
     pub fn take<T: Data>(self, at: &str) -> Result<Partitions<T>> {
-        let arc = self.inner.downcast::<Partitions<T>>().map_err(|_| {
-            EngineError::TypeMismatch { at: at.to_string(), expected: std::any::type_name::<T>() }
-        })?;
-        Ok(Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone()))
+        let arc = self.inner.downcast().map_err(|_| mismatch::<T>(at))?;
+        Ok(Arc::unwrap_or_clone(arc))
     }
+
+    /// Recover the `Arc` of a value erased with [`Erased::shared`].
+    pub fn into_shared<X: Any + Send + Sync>(self, at: &str) -> Result<Arc<X>> {
+        self.inner.downcast::<X>().map_err(|_| mismatch::<X>(at))
+    }
+}
+
+fn mismatch<X>(at: &str) -> EngineError {
+    EngineError::TypeMismatch { at: at.to_string(), expected: std::any::type_name::<X>() }
 }
 
 impl std::fmt::Debug for Erased {

@@ -14,7 +14,7 @@ use crate::config::EnvConfig;
 use crate::dataset::Erased;
 use crate::error::{EngineError, Result};
 use crate::partition::Shuffled;
-use crate::plan::{NodeId, PlanGraph};
+use crate::plan::{NodeId, PlanGraph, RunMemo};
 
 /// Shared execution state handed to every operator.
 ///
@@ -330,10 +330,14 @@ where
 /// or re-keying an edge list). With loop-invariant caching enabled (see
 /// [`crate::config::EnvConfig::loop_invariant_caching`]), those nodes run
 /// once and their outputs are reused in every following superstep — the
-/// engine-level analogue of Flink caching loop-invariant inputs.
+/// engine-level analogue of Flink caching loop-invariant inputs. The cache
+/// also holds each re-executed node's [`RunMemo`], such as a join's index
+/// over a loop-invariant build side, so that state lives as long as the
+/// cached inputs it was derived from.
 #[derive(Default)]
 pub struct PlanCache {
     values: Vec<Option<Erased>>,
+    memos: Vec<RunMemo>,
 }
 
 impl PlanCache {
@@ -345,6 +349,7 @@ impl PlanCache {
     /// Drop all cached values.
     pub fn clear(&mut self) {
         self.values.clear();
+        self.memos.clear();
     }
 
     /// Number of node outputs currently held.
@@ -373,7 +378,9 @@ pub fn execute(
 
 /// Execute the plan up to `targets`, reusing cached outputs for nodes that
 /// are not marked `volatile`. Non-volatile node outputs are stored into
-/// `cache` for subsequent calls.
+/// `cache` for subsequent calls. A volatile node with non-volatile inputs
+/// runs through [`crate::plan::DynOp::execute_in_loop`], with its memo kept
+/// in `cache`.
 pub fn execute_cached(
     graph: &mut PlanGraph,
     targets: &[NodeId],
@@ -384,6 +391,7 @@ pub fn execute_cached(
     debug_assert_eq!(volatile.len(), graph.len());
     let order = graph.schedule(targets)?;
     cache.values.resize(graph.len(), None);
+    cache.memos.resize_with(graph.len(), || None);
     let mut fresh: Vec<Option<Erased>> = (0..graph.len()).map(|_| None).collect();
     let value_of = |fresh: &[Option<Erased>], cache: &PlanCache, id: NodeId| -> Erased {
         fresh[id].clone().or_else(|| cache.values[id].clone()).expect("topological order violated")
@@ -392,18 +400,25 @@ pub fn execute_cached(
         if !volatile[id] && cache.values[id].is_some() {
             continue;
         }
-        let inputs: Vec<Erased> =
-            graph.node(id).inputs.iter().map(|&i| value_of(&fresh, cache, i)).collect();
         let node = graph.node_mut(id);
+        let inputs: Vec<Erased> = node.inputs.iter().map(|&i| value_of(&fresh, cache, i)).collect();
+        let invariant: Vec<bool> = node.inputs.iter().map(|&i| !volatile[i]).collect();
+        let memo = &mut cache.memos[id];
+        let mut run = || {
+            if volatile[id] && invariant.contains(&true) {
+                node.op.execute_in_loop(&inputs, &invariant, memo, ctx)
+            } else {
+                node.op.execute(&inputs, ctx)
+            }
+        };
         let out = if ctx.config.telemetry.enabled() {
-            let kind = node.op.kind();
             let shuffled_before = ctx.shuffled();
             let start = Instant::now();
-            let out = node.op.execute(&inputs, ctx)?;
-            ctx.record_node(kind, start.elapsed(), ctx.shuffled() - shuffled_before);
+            let out = run()?;
+            ctx.record_node(node.op.kind(), start.elapsed(), ctx.shuffled() - shuffled_before);
             out
         } else {
-            node.op.execute(&inputs, ctx)?
+            run()?
         };
         if volatile[id] {
             fresh[id] = Some(out);

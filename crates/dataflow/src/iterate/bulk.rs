@@ -213,7 +213,7 @@ impl<T: Data> LoopBody for BulkBody<T> {
 
     fn reclaim(&mut self) -> Result<Partitions<T>> {
         self.state_slot
-            .get()
+            .take()
             .ok_or_else(|| {
                 EngineError::Iteration("pre-superstep state lost after partition panic".into())
             })?
@@ -221,6 +221,9 @@ impl<T: Data> LoopBody for BulkBody<T> {
     }
 
     fn advance(&mut self, outputs: Vec<Erased>, probing: bool) -> Result<Advanced<Partitions<T>>> {
+        // Release the pre-superstep state first: a next state that is the
+        // head itself is then taken without a clone.
+        drop(self.state_slot.take());
         let mut outputs = outputs.into_iter();
         let next: Partitions<T> =
             outputs.next().expect("next-state output").take("BulkIteration(next)")?;

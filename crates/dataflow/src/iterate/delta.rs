@@ -1,8 +1,19 @@
 //! Delta iterations: a keyed solution set is selectively updated while a
 //! working set carries the records that still change (paper §2.1).
+//!
+//! The solution set is an index, not a dataset. The driver keeps it as
+//! per-partition hash maps ([`SolutionSets`]) and lends them to the loop
+//! body behind an `Arc` for the length of one superstep. The body can only
+//! probe them, as the build side of [`DataSet::join_solution`]. Once the
+//! body has run, the driver holds the only handle again and upserts the
+//! delta in place. A superstep therefore costs in proportion to its
+//! workset, messages and delta, not to the solution set. The solution set
+//! becomes a dataset once, as the iteration's output.
 
 use std::hash::Hash;
+use std::marker::PhantomData;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use telemetry::IterationMode;
 
@@ -56,12 +67,11 @@ impl<K: Data + Hash + Eq> SolutionKey for K {}
 ///     .workset()
 ///     .join("to-neighbors", &edges_in, |w: &(u64, u64)| w.0, |e| e.0, |w, e| (e.1, w.1))
 ///     .reduce_by_key("min-label", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
-/// let updates = candidates.join(
+/// let updates = candidates.join_solution(
 ///     "label-update",
 ///     &iteration.solution(),
 ///     |c| c.0,
-///     |s: &(u64, u64)| s.0,
-///     |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+///     |c, &label| if c.1 < label { Some((c.0, c.1)) } else { None },
 /// ).flat_map("updated-only", |u| u.iter().copied().collect());
 /// let (result, stats) = iteration.close(updates.clone(), updates);
 /// let labels = result.collect().unwrap();
@@ -74,10 +84,27 @@ pub struct DeltaIteration<K: SolutionKey, V: Data, W: Data> {
     initial_workset_id: NodeId,
     solution_slot: SourceSlot,
     workset_slot: SourceSlot,
-    solution_head: DataSet<(K, V)>,
+    solution_head: SolutionSet<K, V>,
     workset_head: DataSet<W>,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
+}
+
+/// Loop-body handle onto the solution set of a [`DeltaIteration`].
+///
+/// It is not a [`DataSet`]: a loop body can only probe the solution set, as
+/// the build side of [`DataSet::join_solution`], which looks keys up in the
+/// driver's per-partition maps in place.
+pub struct SolutionSet<K, V> {
+    pub(crate) env: Environment,
+    pub(crate) id: NodeId,
+    _type: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> Clone for SolutionSet<K, V> {
+    fn clone(&self) -> Self {
+        SolutionSet { env: self.env.clone(), id: self.id, _type: PhantomData }
+    }
 }
 
 impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
@@ -97,7 +124,12 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
             "solution set and workset must come from the same environment"
         );
         let builder = LoopBuilder::new(outer, max_iterations);
-        let (solution_head, solution_slot) = builder.head("solution-set");
+        let (solution_head, solution_slot) = builder.head::<(K, V)>("solution-set");
+        let solution_head = SolutionSet {
+            env: solution_head.environment(),
+            id: solution_head.node_id(),
+            _type: PhantomData,
+        };
         let (workset_head, workset_slot) = builder.head("workset");
         DeltaIteration {
             builder,
@@ -112,8 +144,9 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         }
     }
 
-    /// Loop-body view of the current solution set.
-    pub fn solution(&self) -> DataSet<(K, V)> {
+    /// Loop-body handle onto the current solution set, for
+    /// [`DataSet::join_solution`].
+    pub fn solution(&self) -> SolutionSet<K, V> {
         self.solution_head.clone()
     }
 
@@ -177,7 +210,7 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
         self.builder.assert_in_body(&delta, "delta");
         self.builder.assert_in_body(&next_workset, "next workset");
         let body = DeltaBody {
-            solution_head_id: self.solution_head.node_id(),
+            solution_head_id: self.solution_head.id,
             workset_head_id: self.workset_head.node_id(),
             solution_slot: self.solution_slot,
             workset_slot: self.workset_slot,
@@ -185,7 +218,6 @@ impl<K: SolutionKey, V: Data, W: Data> DeltaIteration<K, V, W> {
             next_workset_id: next_workset.node_id(),
             observer: self.observer,
             norm_probe: self.norm_probe,
-            solution: Vec::new(),
         };
         let inputs = [self.initial_solution_id, self.initial_workset_id];
         self.builder.close("delta-iteration", &inputs, body)
@@ -202,9 +234,6 @@ struct DeltaBody<K: SolutionKey, V: Data, W: Data> {
     next_workset_id: NodeId,
     observer: Option<DeltaObserverFn<K, V, W>>,
     norm_probe: Option<DeltaNormProbe<K, V>>,
-    /// The solution sets while a superstep's body runs: the body reads a
-    /// materialised copy, the delta is applied to these.
-    solution: SolutionSets<K, V>,
 }
 
 /// Build per-partition solution maps from `(K, V)` records, routing each
@@ -222,13 +251,12 @@ fn build_solution_sets<K: SolutionKey, V: Data>(
 }
 
 /// Materialise the solution sets as a partitioned dataset, in a
-/// deterministic per-partition order.
+/// deterministic per-partition order (hash maps iterate in arbitrary order;
+/// sorting by key hash keeps runs bit-reproducible).
 ///
-/// The per-superstep clone + sort keeps runs bit-reproducible (hash maps
-/// iterate in arbitrary order). It is not cheap: it costs in proportion to
-/// the whole solution set, not to the workset, which puts a floor under
-/// every delta superstep. ROADMAP item 2 measures that floor and plans an
-/// index-probed solution-set join to remove it.
+/// This clones and sorts the whole solution set, so the driver calls it
+/// once per run, for the iteration's output. Supersteps never pay it: the
+/// loop body probes the solution sets in place.
 fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> Partitions<(K, V)> {
     let parts = sets
         .iter()
@@ -240,6 +268,18 @@ fn materialize_solution<K: SolutionKey, V: Data>(sets: &SolutionSets<K, V>) -> P
         })
         .collect();
     Partitions::from_parts(parts)
+}
+
+impl<K: SolutionKey, V: Data, W: Data> DeltaBody<K, V, W> {
+    /// Take the solution sets back from the body's head slot. The body's
+    /// executions have dropped their handles by now, so the `Arc` is
+    /// unique and nothing is cloned.
+    fn take_solution(&self) -> Result<SolutionSets<K, V>> {
+        let lent = self.solution_slot.take().ok_or_else(|| {
+            EngineError::Iteration("solution set was not lent to the loop body".into())
+        })?;
+        Ok(Arc::unwrap_or_clone(lent.into_shared("DeltaIteration(solution set)")?))
+    }
 }
 
 impl<K: SolutionKey, V: Data, W: Data> LoopBody for DeltaBody<K, V, W> {
@@ -272,25 +312,28 @@ impl<K: SolutionKey, V: Data, W: Data> LoopBody for DeltaBody<K, V, W> {
     }
 
     fn inject(&mut self, state: Self::State, _probing: bool) {
-        self.solution_slot.fill(Erased::new(materialize_solution(&state.solution)));
+        self.solution_slot.fill(Erased::shared(Arc::new(state.solution)));
         self.workset_slot.fill(Erased::new(state.workset));
-        self.solution = state.solution;
     }
 
     fn reclaim(&mut self) -> Result<Self::State> {
-        // The solution sets have not been touched yet (upserts happen after
-        // the body); the workset comes back from its injection slot.
+        // Upserts happen after the body, so a failed body left the solution
+        // sets untouched; both come back from their head slots.
         let workset = self
             .workset_slot
-            .get()
+            .take()
             .ok_or_else(|| {
                 EngineError::Iteration("pre-superstep workset lost after partition panic".into())
             })?
             .take("DeltaIteration(panic recovery)")?;
-        Ok(DeltaState { solution: std::mem::take(&mut self.solution), workset })
+        Ok(DeltaState { solution: self.take_solution()?, workset })
     }
 
     fn advance(&mut self, outputs: Vec<Erased>, probing: bool) -> Result<Advanced<Self::State>> {
+        // Take both heads back before the outputs: a next workset that is
+        // the workset head itself is then taken without a clone.
+        drop(self.workset_slot.take());
+        let mut solution = self.take_solution()?;
         let mut outputs = outputs.into_iter();
         let delta: Partitions<(K, V)> =
             outputs.next().expect("delta output").take("DeltaIteration(delta)")?;
@@ -300,7 +343,6 @@ impl<K: SolutionKey, V: Data, W: Data> LoopBody for DeltaBody<K, V, W> {
         // Apply the delta: upsert each entry into its key's partition. The
         // norm probe must observe the solution *before* the apply loop
         // consumes the delta.
-        let mut solution = std::mem::take(&mut self.solution);
         let delta_size = delta.total_len() as u64;
         let delta_norm = if probing {
             self.norm_probe.as_mut().and_then(|probe| probe(&solution, &delta))
@@ -381,12 +423,17 @@ mod tests {
             .measured("messages")
             .reduce_by_key("min-candidate", |c| c.0, |a, b| if a.1 <= b.1 { a } else { b });
         let updates = candidates
-            .join(
+            .join_solution(
                 "label-update",
                 &it.solution(),
                 |c| c.0,
-                |s: &Label| s.0,
-                |c, s| if c.1 < s.1 { Some((c.0, c.1)) } else { None },
+                |c, &label| {
+                    if c.1 < label {
+                        Some((c.0, c.1))
+                    } else {
+                        None
+                    }
+                },
             )
             .flat_map("updated-only", |u: &Option<Label>| u.iter().copied().collect());
         let (result, stats) = it.close(updates.clone(), updates);

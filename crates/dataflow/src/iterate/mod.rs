@@ -28,7 +28,7 @@ mod delta;
 mod driver;
 
 pub use bulk::BulkIteration;
-pub use delta::DeltaIteration;
+pub use delta::{DeltaIteration, SolutionKey, SolutionSet};
 
 use std::cell::RefCell;
 use std::rc::Rc;

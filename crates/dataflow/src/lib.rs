@@ -75,7 +75,9 @@ pub mod prelude {
         RecoveryAction, RestartHandler,
     };
     pub use crate::hash::{FxHashMap, FxHashSet};
-    pub use crate::iterate::{BulkIteration, ConvergenceMeasure, DeltaIteration, StatsHandle};
+    pub use crate::iterate::{
+        BulkIteration, ConvergenceMeasure, DeltaIteration, SolutionSet, StatsHandle,
+    };
     pub use crate::partition::{hash_partition, PartitionId};
     pub use crate::stats::{IterationStats, RunStats};
 }

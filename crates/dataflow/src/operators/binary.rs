@@ -4,12 +4,13 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::dataset::{Data, Erased, Partitions};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::exec::{par_map, ExecContext};
+use crate::ft::SolutionSets;
 use crate::hash::FxHashMap;
 use crate::operators::keyed::KeyData;
-use crate::partition::{broadcast, shuffle_by_key};
-use crate::plan::DynOp;
+use crate::partition::{broadcast, hash_partition, shuffle_by_key, shuffle_refs};
+use crate::plan::{DynOp, RunMemo};
 
 /// Equi-join: apply `f` to every pair of left/right records with equal keys
 /// (the paper's `Join` higher-order function).
@@ -42,30 +43,32 @@ where
     O: Data,
     F: Fn(&L, &R) -> O + Send + Sync + 'static,
 {
+    /// Build-and-drop: hash the build (right) side, probe it with the left
+    /// side, drop the table.
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
-        let left = inputs[0].clone().take::<L>("Join(left)")?;
-        let right = inputs[1].clone().take::<R>("Join(right)")?;
-        let shuffled_left = ctx.time_shuffle(|| shuffle_by_key(left, &*self.key_left));
-        let shuffled_right = ctx.time_shuffle(|| shuffle_by_key(right, &*self.key_right));
+        let left = inputs[0].downcast::<L>("Join(left)")?;
+        let right = inputs[1].downcast::<R>("Join(right)")?;
+        let shuffled_left = ctx.time_shuffle(|| shuffle_refs(left, &*self.key_left));
+        let shuffled_right = ctx.time_shuffle(|| shuffle_refs(right, &*self.key_right));
         ctx.add_shuffled(shuffled_left.moved + shuffled_right.moved);
 
         let key_left = &*self.key_left;
         let key_right = &*self.key_right;
         let f = &*self.f;
         let work = shuffled_left.parts.total_len() + shuffled_right.parts.total_len();
-        let zipped: Vec<(Vec<L>, Vec<R>)> = shuffled_left
+        let zipped: Vec<(Vec<&L>, Vec<&R>)> = shuffled_left
             .parts
             .into_parts()
             .into_iter()
             .zip(shuffled_right.parts.into_parts())
             .collect();
         let out = par_map(zipped, ctx, work, |_, (lefts, rights)| {
-            let mut table: FxHashMap<K, Vec<R>> = FxHashMap::default();
+            let mut table: FxHashMap<K, Vec<&R>> = FxHashMap::default();
             for r in rights {
-                table.entry(key_right(&r)).or_default().push(r);
+                table.entry(key_right(r)).or_default().push(r);
             }
             let mut out = Vec::new();
-            for l in &lefts {
+            for l in lefts {
                 if let Some(matches) = table.get(&key_left(l)) {
                     for r in matches {
                         out.push(f(l, r));
@@ -77,8 +80,189 @@ where
         Ok(Erased::new(Partitions::from_parts(out)))
     }
 
+    /// A loop-invariant build side is indexed once per run; every superstep
+    /// only routes and probes the left side.
+    fn execute_in_loop(
+        &mut self,
+        inputs: &[Erased],
+        invariant: &[bool],
+        memo: &mut RunMemo,
+        ctx: &ExecContext,
+    ) -> Result<Erased> {
+        if !invariant[1] {
+            return self.execute(inputs, ctx);
+        }
+        let right = inputs[1].downcast::<R>("Join(right)")?;
+        if memo.is_none() {
+            *memo = Some(Box::new(BuildIndex::build(right, &*self.key_right, ctx)?));
+        }
+        let index = memo
+            .as_ref()
+            .and_then(|memo| memo.downcast_ref::<BuildIndex<K>>())
+            .ok_or_else(|| EngineError::Plan("join index of another key type".into()))?;
+        let left = inputs[0].downcast::<L>("Join(left)")?;
+        let shuffled_left = ctx.time_shuffle(|| shuffle_refs(left, &*self.key_left));
+        // Bill the build side as if it were shuffled again, so the traffic
+        // count does not depend on whether the index is cached.
+        ctx.add_shuffled(shuffled_left.moved + index.moved);
+
+        let key_left = &*self.key_left;
+        let f = &*self.f;
+        let work = shuffled_left.parts.total_len();
+        let out = par_map(shuffled_left.parts.into_parts(), ctx, work, |pid, lefts| {
+            let part = &index.parts[pid];
+            let mut out = Vec::new();
+            for l in lefts {
+                for &(source, row) in part.matches(&key_left(l)) {
+                    out.push(f(l, &right.partition(source as usize)[row as usize]));
+                }
+            }
+            out
+        })?;
+        Ok(Erased::new(Partitions::from_parts(out)))
+    }
+
     fn kind(&self) -> &'static str {
         "Join"
+    }
+}
+
+/// A key-to-row-position index over a join's build side, built once per
+/// iteration run when that side is loop-invariant.
+///
+/// Partition `p` covers the records whose key hashes to `p`, wherever they
+/// sit in the input. The index points into the input as
+/// `(source partition, row)` pairs and clones no record (positions are
+/// 32-bit: a partition holds fewer than 2^32 records). A key's positions
+/// are contiguous and in input order, so probing visits matches in the
+/// order a rebuilt hash table would.
+struct BuildIndex<K> {
+    parts: Vec<PartIndex<K>>,
+    /// Build-side records outside their key's partition.
+    moved: u64,
+}
+
+/// One partition of a [`BuildIndex`]: key `k`'s positions are
+/// `rows[starts[g]..starts[g + 1]]` for `g = groups[k]`.
+struct PartIndex<K> {
+    groups: FxHashMap<K, u32>,
+    starts: Vec<u32>,
+    rows: Vec<(u32, u32)>,
+}
+
+impl<K: KeyData> BuildIndex<K> {
+    fn build<R: Data>(
+        input: &Partitions<R>,
+        key_of: &(impl Fn(&R) -> K + Sync),
+        ctx: &ExecContext,
+    ) -> Result<Self> {
+        let p = input.num_partitions();
+        let mut routed: Vec<Vec<(u32, u32)>> = (0..p).map(|_| Vec::new()).collect();
+        let mut moved = 0u64;
+        for (source, records) in input.iter() {
+            for (row, record) in records.iter().enumerate() {
+                let target = hash_partition(&key_of(record), p);
+                if target != source {
+                    moved += 1;
+                }
+                routed[target].push((source as u32, row as u32));
+            }
+        }
+        let record_at = |(source, row): (u32, u32)| &input.partition(source as usize)[row as usize];
+        let parts = par_map(routed, ctx, input.total_len(), |_, positions| {
+            PartIndex::group(positions, |pos| key_of(record_at(pos)))
+        })?;
+        Ok(BuildIndex { parts, moved })
+    }
+}
+
+impl<K: KeyData> PartIndex<K> {
+    /// Group `positions` by key with a counting sort: one pass to number
+    /// the keys and count their rows, one to place each row.
+    fn group(positions: Vec<(u32, u32)>, key_at: impl Fn((u32, u32)) -> K) -> Self {
+        let mut groups: FxHashMap<K, u32> = FxHashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let group_of: Vec<u32> = positions
+            .iter()
+            .map(|&pos| {
+                let g = *groups.entry(key_at(pos)).or_insert_with(|| {
+                    counts.push(0);
+                    (counts.len() - 1) as u32
+                });
+                counts[g as usize] += 1;
+                g
+            })
+            .collect();
+        let mut starts = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0u32;
+        starts.push(0);
+        for count in counts {
+            total += count;
+            starts.push(total);
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![(0, 0); positions.len()];
+        for (pos, g) in positions.into_iter().zip(group_of) {
+            rows[cursor[g as usize] as usize] = pos;
+            cursor[g as usize] += 1;
+        }
+        PartIndex { groups, starts, rows }
+    }
+
+    fn matches(&self, key: &K) -> &[(u32, u32)] {
+        match self.groups.get(key) {
+            Some(&g) => {
+                &self.rows[self.starts[g as usize] as usize..self.starts[g as usize + 1] as usize]
+            }
+            None => &[],
+        }
+    }
+}
+
+/// Join against a delta iteration's solution set, probed in place: the left
+/// side is routed to its keys' partitions and every record looks its key up
+/// in that partition's solution map. `f` sees each left record with the
+/// matching solution value; left records without an entry produce nothing.
+pub struct SolutionJoinOp<T, K, V, KL, O, F> {
+    key_left: Arc<KL>,
+    f: Arc<F>,
+    _types: PhantomData<fn(T, K, V) -> O>,
+}
+
+impl<T, K, V, KL, O, F> SolutionJoinOp<T, K, V, KL, O, F> {
+    /// Operator over the given user function(s).
+    pub fn new(key_left: KL, f: F) -> Self {
+        SolutionJoinOp { key_left: Arc::new(key_left), f: Arc::new(f), _types: PhantomData }
+    }
+}
+
+impl<T, K, V, KL, O, F> DynOp for SolutionJoinOp<T, K, V, KL, O, F>
+where
+    T: Data,
+    K: KeyData,
+    V: Data,
+    KL: Fn(&T) -> K + Send + Sync + 'static,
+    O: Data,
+    F: Fn(&T, &V) -> O + Send + Sync + 'static,
+{
+    fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
+        let left = inputs[0].downcast::<T>("SolutionJoin(left)")?;
+        let solution =
+            inputs[1].downcast_shared::<SolutionSets<K, V>>("SolutionJoin(solution set)")?;
+        let shuffled = ctx.time_shuffle(|| shuffle_refs(left, &*self.key_left));
+        ctx.add_shuffled(shuffled.moved);
+        let key_left = &*self.key_left;
+        let f = &*self.f;
+        let work = shuffled.parts.total_len();
+        let out = par_map(shuffled.parts.into_parts(), ctx, work, |pid, lefts| {
+            let set = &solution[pid];
+            lefts.into_iter().filter_map(|l| set.get(&key_left(l)).map(|v| f(l, v))).collect()
+        })?;
+        Ok(Erased::new(Partitions::from_parts(out)))
+    }
+
+    fn kind(&self) -> &'static str {
+        "SolutionJoin"
     }
 }
 

@@ -60,6 +60,13 @@ impl SourceSlot {
     pub fn get(&self) -> Option<Erased> {
         self.value.borrow().clone()
     }
+
+    /// Empty the slot, handing back its dataset. Once the body's
+    /// executions have dropped their handles, the caller holds the only
+    /// one, and [`Erased::take`] gets the value back without a clone.
+    pub fn take(&self) -> Option<Erased> {
+        self.value.borrow_mut().take()
+    }
 }
 
 /// Loop-body head node reading from a [`SourceSlot`].

@@ -62,6 +62,29 @@ where
     Shuffled { parts: Partitions::from_parts(out), moved }
 }
 
+/// [`shuffle_by_key`] for operators that only read their input: route
+/// references to the records instead of moving them, in the same order and
+/// with the same traffic accounting, so a shared input is never cloned.
+pub fn shuffle_refs<T, K, F>(input: &Partitions<T>, key_of: F) -> Shuffled<&T>
+where
+    K: Hash,
+    F: Fn(&T) -> K,
+{
+    let p = input.num_partitions();
+    let mut out: Vec<Vec<&T>> = (0..p).map(|_| Vec::new()).collect();
+    let mut moved = 0u64;
+    for (source_pid, records) in input.iter() {
+        for record in records {
+            let target = hash_partition(&key_of(record), p);
+            if target != source_pid {
+                moved += 1;
+            }
+            out[target].push(record);
+        }
+    }
+    Shuffled { parts: Partitions::from_parts(out), moved }
+}
+
 /// Copy every record of `input` into every partition (a broadcast).
 /// All `p * n` copies count as moved traffic except the local ones.
 pub fn broadcast<T: Clone>(input: &Partitions<T>, parallelism: usize) -> Shuffled<T> {
@@ -107,6 +130,21 @@ mod tests {
         let shuffled = shuffle_by_key(input, |v| *v);
         // Statistically ~3/4 of records change partition.
         assert!(shuffled.moved > 500, "moved only {}", shuffled.moved);
+    }
+
+    #[test]
+    fn reference_shuffle_matches_the_moving_shuffle() {
+        let input = Partitions::round_robin((0u64..200).collect(), 3);
+        let by_refs = shuffle_refs(&input, |v| *v % 17);
+        let by_move = shuffle_by_key(input.clone(), |v| *v % 17);
+        assert_eq!(by_refs.moved, by_move.moved);
+        let copied: Vec<Vec<u64>> = by_refs
+            .parts
+            .into_parts()
+            .into_iter()
+            .map(|p| p.into_iter().copied().collect())
+            .collect();
+        assert_eq!(copied, by_move.parts.into_parts());
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! inputs, does the work, and erases the output again. Iterations are
 //! ordinary nodes that own a *nested* plan graph for their loop body.
 
+use std::any::Any;
+
 use crate::dataset::Erased;
 use crate::error::{EngineError, Result};
 use crate::exec::ExecContext;
@@ -12,12 +14,33 @@ use crate::exec::ExecContext;
 /// Index of a node within its [`PlanGraph`].
 pub type NodeId = usize;
 
+/// What an operator keeps for the rest of an iteration run, derived from its
+/// loop-invariant inputs (see [`DynOp::execute_in_loop`]). Empty until the
+/// operator fills it; dropped with the run.
+pub type RunMemo = Option<Box<dyn Any>>;
+
 /// A type-erased operator.
 pub trait DynOp {
     /// Execute over the (already computed) inputs, producing the output
     /// dataset. Takes `&mut self` because stateful nodes (iterations with
     /// fault handlers) update internal state.
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased>;
+
+    /// Execute inside an iteration body, where `invariant[i]` is true for
+    /// the inputs that stay the same for the rest of the run and `memo`
+    /// persists across the run's supersteps. Operators that can reuse work
+    /// over an invariant input (a join's index over its build side) override
+    /// this; the default ignores both and calls [`DynOp::execute`].
+    fn execute_in_loop(
+        &mut self,
+        inputs: &[Erased],
+        invariant: &[bool],
+        memo: &mut RunMemo,
+        ctx: &ExecContext,
+    ) -> Result<Erased> {
+        let _ = (invariant, memo);
+        self.execute(inputs, ctx)
+    }
 
     /// Operator kind, e.g. `"Map"`, `"Join"`, `"DeltaIteration"` — used by
     /// [`PlanGraph::explain`] to render dataflows like the paper's Figure 1.

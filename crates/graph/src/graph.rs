@@ -85,6 +85,40 @@ impl Graph {
     pub fn num_directed_edges(&self) -> usize {
         self.adjacency.iter().map(Vec::len).sum()
     }
+
+    /// A read-only copy of the adjacency in compressed sparse row form.
+    pub fn to_csr(&self) -> Csr {
+        let mut offsets = Vec::with_capacity(self.adjacency.len() + 1);
+        let mut targets = Vec::with_capacity(self.num_directed_edges());
+        offsets.push(0);
+        for neighbors in &self.adjacency {
+            targets.extend_from_slice(neighbors);
+            offsets.push(targets.len());
+        }
+        Csr { offsets, targets }
+    }
+}
+
+/// A graph's adjacency in compressed sparse row form: the neighbours of `v`
+/// are `targets[offsets[v]..offsets[v + 1]]`. Two allocations whatever the
+/// vertex count, for a copy of the adjacency that lives beside a run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<VertexId>,
+}
+
+impl Csr {
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Neighbours of `v`, in the graph's order.
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        let v = v as usize;
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 /// Incremental graph construction with duplicate-edge collapsing.
@@ -205,6 +239,21 @@ mod tests {
         assert!(t.has_edge(1, 0) && t.has_edge(2, 0));
         assert!(!t.has_edge(0, 1));
         assert_eq!(t.num_edges(), 2);
+    }
+
+    #[test]
+    fn csr_lists_every_vertex_neighbours_in_order() {
+        let mut b = GraphBuilder::undirected(5);
+        b.add_edge(0, 3);
+        b.add_edge(0, 1);
+        b.add_edge(3, 2);
+        let g = b.build();
+        let csr = g.to_csr();
+        assert_eq!(csr.num_vertices(), 5);
+        for v in g.vertices() {
+            assert_eq!(csr.neighbors(v), g.neighbors(v), "vertex {v}");
+        }
+        assert!(csr.neighbors(4).is_empty());
     }
 
     #[test]

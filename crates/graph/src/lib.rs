@@ -23,5 +23,5 @@ pub mod io;
 pub mod unionfind;
 
 pub use exact::{exact_components, exact_pagerank, PageRankParams};
-pub use graph::{Graph, GraphBuilder, VertexId};
+pub use graph::{Csr, Graph, GraphBuilder, VertexId};
 pub use unionfind::UnionFind;
