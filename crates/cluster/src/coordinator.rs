@@ -5,21 +5,20 @@
 //!
 //! * The coordinator owns the dataflow plan, the iteration driver, the
 //!   telemetry sink, and — crucially for recovery — the authoritative copy
-//!   of the iteration state and the per-partition message inboxes.
-//! * Workers own the loop-invariant adjacency for their partitions and
-//!   execute [`crate::program::ClusterProgram::step`]. Under the default
-//!   [`DataPlaneMode::Direct`] the coordinator is a pure control plane:
-//!   it broadcasts membership (peer addresses + epoch), dispatches
-//!   supersteps as thin `StepGo` frames, and receives state + convergence
-//!   counts in `StepDone`s — while the shuffled messages flow directly
-//!   between workers as batched peer frames, never touching the
-//!   coordinator. [`DataPlaneMode::Coordinator`] keeps the original
-//!   funnel (`RunStep` carries state *and* inbound messages down,
-//!   `StepDone` carries outbound back up) as the routed baseline.
-//! * Failure is detected at the network level either way, and recovery
-//!   authority never moves: state flows up in every `StepDone`, so the
-//!   coordinator can compensate/rollback and re-push authoritative state
-//!   in a `StepReset` regardless of which plane carried the messages.
+//!   of the iteration state. It holds no messages at all.
+//! * Workers own the loop-invariant adjacency for their partitions, execute
+//!   [`crate::program::ClusterProgram::step`] against cached state, and
+//!   exchange the shuffled messages directly over peer connections. The
+//!   coordinator is a pure control plane: it broadcasts membership (peer
+//!   addresses + epoch), dispatches supersteps as thin `StepGo` frames, and
+//!   receives state + convergence counts in `StepDone`s.
+//! * Every state push is a re-seed. The first superstep, and the first one
+//!   after any failure, rollback, restart or rescale, is a `StepReset`: it
+//!   pushes the driver's state down and runs as logical step 0 with no
+//!   inbound, which keeps the state and re-emits from it exactly the
+//!   messages a failure-free run would have in flight. Channel state is
+//!   therefore always derived from the restored or compensated state, and
+//!   every recovery strategy's handler is installed unwrapped.
 //! * Failure is detected at the network level: a dead worker surfaces as a
 //!   connection reset / EOF / read timeout on the control connection, or as
 //!   a heartbeat timeout on the dedicated heartbeat connection. Either
@@ -45,7 +44,6 @@ use dataflow::config::EnvConfig;
 use dataflow::dataset::{Erased, Partitions};
 use dataflow::error::{EngineError, Result};
 use dataflow::exec::ExecContext;
-use dataflow::ft::{CheckpointCost, FaultHandler, RecoveryAction};
 use dataflow::iterate::{BulkIteration, ConvergenceMeasure};
 use dataflow::partition::PartitionId;
 use dataflow::plan::DynOp;
@@ -59,8 +57,8 @@ use telemetry::{JournalEvent, SinkHandle};
 use crate::placement::{PartitionMap, Rebalancer};
 use crate::program::{lookup, partition_rows, ClusterProgram};
 use crate::protocol::{
-    read_frame, write_frame, AdjRows, Message, Msg, Record, SpanRow, NO_INBOUND,
-    SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    read_frame, write_frame, AdjRows, Message, Msg, Record, SpanRow, SPAN_PHASE_COMPUTE,
+    SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 use crate::worker::LISTENING_MARKER;
 
@@ -194,10 +192,9 @@ pub enum ClusterStrategy {
     /// Optimistic recovery: the program's compensation function rebuilds
     /// lost partitions (no failure-free overhead).
     Optimistic,
-    /// Synchronous checkpoints every `interval` supersteps: the driver
-    /// state, the message inboxes, and the logical step counter are
-    /// captured together; recovery rolls all three back to the last
-    /// checkpointed superstep.
+    /// Synchronous checkpoints every `interval` supersteps: recovery rolls
+    /// the state back to the last checkpointed superstep, and the re-seed
+    /// superstep rebuilds the messages in flight from it.
     Checkpoint {
         /// Supersteps between checkpoints.
         interval: u32,
@@ -212,29 +209,6 @@ pub enum ClusterStrategy {
     /// The lineage baseline: any failure restarts the iteration from the
     /// initial input at logical step 0.
     Restart,
-}
-
-impl ClusterStrategy {
-    /// Whether recovery rolls back to captured inboxes (checkpoint /
-    /// async-snapshot) rather than recomputing forward. Rollback strategies
-    /// need the coordinator's inbox copy kept authoritative, so direct-mode
-    /// workers piggyback their outbound messages in `StepDone` for them.
-    fn is_rollback(self) -> bool {
-        matches!(self, ClusterStrategy::Checkpoint { .. } | ClusterStrategy::AsyncSnapshot { .. })
-    }
-}
-
-/// Which plane carries the shuffled messages of a cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DataPlaneMode {
-    /// Workers exchange messages directly over peer-to-peer connections
-    /// (batched frames, shuffle overlapped with compute). The default.
-    #[default]
-    Direct,
-    /// Every message is funnelled through the coordinator: `RunStep` ships
-    /// state + inbound down, `StepDone` ships outbound back up. The routed
-    /// baseline direct-mode runs are diffed against.
-    Coordinator,
 }
 
 /// Configuration of a cluster run.
@@ -259,8 +233,6 @@ pub struct ClusterConfig {
     pub scale: Vec<ScaleEvent>,
     /// How the run recovers from worker loss.
     pub strategy: ClusterStrategy,
-    /// Which plane carries the shuffled messages.
-    pub data_plane: DataPlaneMode,
     /// Delay between heartbeat probes.
     pub heartbeat_interval: Duration,
     /// Read timeout on the heartbeat connection; exceeding it marks the
@@ -291,7 +263,6 @@ impl ClusterConfig {
             chaos: ChaosPlan::default(),
             scale: Vec::new(),
             strategy: ClusterStrategy::Optimistic,
-            data_plane: DataPlaneMode::default(),
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(3),
             connect_attempts: 10,
@@ -318,12 +289,6 @@ impl ClusterConfig {
     /// Override the recovery strategy.
     pub fn with_strategy(mut self, strategy: ClusterStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Override which plane carries the shuffled messages.
-    pub fn with_data_plane(mut self, data_plane: DataPlaneMode) -> Self {
-        self.data_plane = data_plane;
         self
     }
 
@@ -397,42 +362,26 @@ pub struct ClusterRun {
     pub stats: RunStats,
 }
 
-/// One partition's input to a superstep. The inbound messages are a shared
-/// snapshot of the committed inbox — an `Arc` clone, not a deep copy — so
-/// building a superstep's jobs holds the inbox lock for O(partitions)
-/// pointer bumps instead of cloning every message in the system.
-struct StepJob {
-    pid: usize,
-    state: Vec<Record>,
-    inbound: Arc<Vec<Msg>>,
-}
-
 /// One partition's output from a superstep.
 struct StepResult {
     pid: usize,
     state: Vec<Record>,
-    outbound: Vec<Msg>,
     changed: u64,
-    /// Messages the partition produced, counted *before* routing: in direct
-    /// mode with optimistic recovery `outbound` stays empty (the messages
-    /// went peer-to-peer), but the shuffle statistic must still be right.
+    /// Messages the partition produced for the next superstep.
     shuffled: u64,
 }
 
 /// Where a superstep's partition work actually runs: in-process (the
-/// baseline) or on worker processes over TCP. Inbox bookkeeping, message
-/// routing, and sort-for-determinism live *above* this trait, so both
-/// backends execute bit-identical supersteps in failure-free runs.
+/// baseline) or on worker processes over TCP. Each backend keeps its own
+/// messages — the coordinator holds none — and both fold every partition's
+/// inbound in the same sorted order, so failure-free runs are bitwise
+/// identical.
 ///
 /// `Send` because the engine may dispatch the step operator onto its
 /// worker pool; the `Arc<Mutex<…>>` wrapper then crosses threads.
 trait StepBackend: Send {
-    fn run_step(
-        &mut self,
-        superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob>,
-    ) -> Result<Vec<StepResult>>;
+    /// Run chronological superstep `superstep` over the driver's `state`.
+    fn run_step(&mut self, superstep: u32, state: &Partitions<Record>) -> Result<Vec<StepResult>>;
 
     /// Ship one persisted async-snapshot chunk to the partition's owning
     /// worker (the barrier marker crossing the wire). Best-effort: shipping
@@ -443,40 +392,46 @@ trait StepBackend: Send {
 }
 
 /// In-process execution of the same named program — the single-process
-/// baseline that cluster results are diffed against.
+/// baseline that cluster results are diffed against. It never fails, so
+/// its only reset is the first superstep.
 struct LocalBackend {
     program: Arc<dyn ClusterProgram>,
     adjacency: Arc<Vec<AdjRows>>,
     n: u64,
+    /// Logical step of the next superstep: supersteps committed so far.
+    step: u64,
+    /// Per-partition inbound of the next superstep, sorted by
+    /// `(src, dst, bits)` like a worker's data-plane slot.
+    inboxes: Vec<Vec<Msg>>,
 }
 
 impl StepBackend for LocalBackend {
-    fn run_step(
-        &mut self,
-        _superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob>,
-    ) -> Result<Vec<StepResult>> {
-        Ok(jobs
-            .into_iter()
-            .map(|job| {
+    fn run_step(&mut self, _superstep: u32, state: &Partitions<Record>) -> Result<Vec<StepResult>> {
+        let parallelism = self.inboxes.len();
+        let mut next: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+        let results = state
+            .iter()
+            .map(|(pid, records)| {
                 let out = self.program.step(
-                    step,
-                    &job.state,
-                    &job.inbound,
-                    &self.adjacency[job.pid],
+                    self.step,
+                    records,
+                    &self.inboxes[pid],
+                    &self.adjacency[pid],
                     self.n,
                 );
                 let shuffled = out.outbound.len() as u64;
-                StepResult {
-                    pid: job.pid,
-                    state: out.state,
-                    outbound: out.outbound,
-                    changed: out.changed,
-                    shuffled,
+                for msg in out.outbound {
+                    next[(msg.1 as usize) % parallelism].push(msg);
                 }
+                StepResult { pid, state: out.state, changed: out.changed, shuffled }
             })
-            .collect())
+            .collect();
+        for inbox in &mut next {
+            inbox.sort_unstable();
+        }
+        self.inboxes = next;
+        self.step += 1;
+        Ok(results)
     }
 }
 
@@ -554,32 +509,20 @@ struct ClusterBackend {
     step_started: Option<Instant>,
     /// Losses detected but not yet re-billed against a respawn.
     pending_recovery: Vec<PendingRecovery>,
-    /// Direct-mode membership epoch: bumped on every broadcast, so workers
-    /// can reject data-plane frames from replaced incarnations.
+    /// Membership epoch: bumped on every broadcast, so workers can reject
+    /// data-plane frames from replaced incarnations.
     epoch: u64,
     /// Whether every live worker holds the current membership. Cleared by a
-    /// respawn; the next direct-mode superstep rebroadcasts before
+    /// respawn or a rescale; the next superstep rebroadcasts before
     /// dispatching.
     membership_current: bool,
     /// Chronological superstep of the last committed superstep — the slot
     /// name steady-state `StepGo` dispatches tell workers to consume.
-    last_committed: Option<u32>,
-    /// Whether the next direct-mode dispatch must push authoritative state
-    /// (`StepReset`): set initially and after every failure or rollback,
-    /// cleared on commit.
-    push_state: bool,
-    /// Workers respawned since the last commit: their data plane holds no
-    /// slots, so an optimistic retry hands them `NO_INBOUND` (compensation
-    /// absorbs the gap) while survivors re-consume the committed slot.
-    respawned_since_commit: Vec<bool>,
-    /// Set by a failure, consumed by the next commit: under the direct data
-    /// plane with optimistic recovery, compensated partitions recompute from
-    /// an *empty* inbound, which can report `changed == 0` on a converged
-    /// graph and terminate the run before their broadcasts repair the
-    /// labels. The first post-failure commit therefore forces at least one
-    /// changed record, buying the one extra superstep the (unconditional,
-    /// every-superstep) broadcasts need to flow back in.
-    force_changed: bool,
+    last_committed: u32,
+    /// Logical step of the next dispatch: supersteps committed since state
+    /// was last pushed. Zero — at the start, and after every failure or
+    /// rescale — makes the next dispatch a `StepReset` re-seed.
+    step: u64,
 }
 
 impl ClusterBackend {
@@ -618,10 +561,8 @@ impl ClusterBackend {
             pending_recovery: Vec::new(),
             epoch: 0,
             membership_current: false,
-            last_committed: None,
-            push_state: true,
-            respawned_since_commit: vec![false; cfg.workers],
-            force_changed: false,
+            last_committed: 0,
+            step: 0,
             cfg,
             program_name: program_name.to_string(),
             n,
@@ -747,9 +688,8 @@ impl ClusterBackend {
                 self.slots[worker].handle = Some(handle);
                 // The replacement listens on a fresh port and holds no
                 // data-plane state: the whole cluster needs a new membership
-                // epoch before the next direct-mode dispatch.
+                // epoch before the next dispatch.
                 self.membership_current = false;
-                self.respawned_since_commit[worker] = true;
                 self.reconnects.inc();
                 self.respawn_latency.observe(respawn_ns);
                 self.reshipped_bytes.add(reshipped);
@@ -831,7 +771,6 @@ impl ClusterBackend {
             // partitions the rebalance gave it.
             for worker in current..target {
                 self.slots.push(WorkerSlot { handle: None });
-                self.respawned_since_commit.push(true);
                 let (handle, _attempts) = self.spawn_and_load(worker)?;
                 self.slots[worker].handle = Some(handle);
                 self.join_worker(worker, superstep)?;
@@ -863,7 +802,6 @@ impl ClusterBackend {
                 }
             }
             self.slots.truncate(target);
-            self.respawned_since_commit.truncate(target);
             // A pending loss bill for a retired index can never pair with a
             // respawn now.
             self.pending_recovery.retain(|pending| pending.worker < target);
@@ -880,18 +818,12 @@ impl ClusterBackend {
             self.reload_worker(worker, superstep)?;
         }
         // The epilogue mirrors an unplanned loss: membership (and the new
-        // map) rebroadcast under a bumped epoch, authoritative state pushed
-        // in the next dispatch, and — because moved partitions' in-flight
-        // messages live in old owners' data-plane slots — every worker
-        // computes the post-scale superstep from an empty inbound under
-        // non-rollback strategies (`respawned_since_commit` forces
-        // `NO_INBOUND` per worker), with `force_changed` buying the one
-        // superstep the unconditional rebroadcasts need to repair it.
-        // Rollback strategies and the funnel push exact inboxes instead.
+        // map) rebroadcast under a bumped epoch, and the next dispatch is a
+        // re-seed — moved partitions' in-flight messages sat in their old
+        // owners' data-plane slots, so every worker re-emits its messages
+        // from the pushed state instead.
         self.membership_current = false;
-        self.push_state = true;
-        self.force_changed = true;
-        self.respawned_since_commit.iter_mut().for_each(|flag| *flag = true);
+        self.step = 0;
         let reshipped = self.bytes_out.get().saturating_sub(bytes_before);
         self.rebalance_reshipped_bytes.add(reshipped);
         let moved_partitions = moved.len();
@@ -948,11 +880,9 @@ impl ClusterBackend {
         // Declared lost ⇒ actually dead: destroy() above SIGKILLs even a
         // merely-slow worker, so its late data-plane frames stop at the
         // epoch check and its late control frames at the superstep echo.
-        // The retry must re-push authoritative state (survivor caches hold
-        // the failed attempt's results), and the first post-failure commit
-        // must not be allowed to terminate the run (see `force_changed`).
-        self.push_state = true;
-        self.force_changed = true;
+        // The retry re-seeds from the driver's recovered state (survivor
+        // caches hold the failed attempt's results).
+        self.step = 0;
         let detection = if message.starts_with("heartbeat") { "heartbeat" } else { "read_error" };
         let detect_ns =
             self.step_started.map(|started| started.elapsed().as_nanos() as u64).unwrap_or(0);
@@ -986,7 +916,7 @@ impl ClusterBackend {
                     SPAN_PHASE_SHUFFLE => ("shuffle", &self.worker_shuffle),
                     SPAN_PHASE_EXCHANGE => ("exchange", &self.worker_exchange),
                     SPAN_PHASE_PEER_BYTES => {
-                        // Direct-mode byte accounting: `pid` is the peer the
+                        // Data-plane byte accounting: `pid` is the peer the
                         // bytes went to, `records` the bytes, `duration_ns`
                         // the frame count. Billed to the *sending* worker
                         // (the connection the row arrived on) and kept out
@@ -1113,10 +1043,10 @@ impl ClusterBackend {
         (send_delay, recv_delay)
     }
 
-    /// Direct mode: make sure every worker holds the current membership —
-    /// peer addresses, epoch, and data-plane policy. A no-op while current;
-    /// after any respawn the epoch is bumped and rebroadcast, which is what
-    /// retires the dead incarnation's in-flight frames cluster-wide.
+    /// Make sure every worker holds the current membership — peer
+    /// addresses and epoch. A no-op while current; after any respawn or
+    /// rescale the epoch is bumped and rebroadcast, which is what retires
+    /// the dead incarnation's in-flight frames cluster-wide.
     fn ensure_membership(&mut self, superstep: u32) -> Result<()> {
         if self.membership_current {
             return Ok(());
@@ -1134,7 +1064,6 @@ impl ClusterBackend {
         let msg = Message::Membership {
             epoch: self.epoch,
             parallelism: self.cfg.parallelism as u64,
-            ship_outbound: u64::from(self.cfg.strategy.is_rollback()),
             // Half the control read timeout: a worker that gives up waiting
             // for peer data still gets its StepFailed out well before the
             // coordinator's own read deadline.
@@ -1181,93 +1110,38 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// The original funnel dispatch: `RunStep` ships state + inbound down to
-    /// each partition's worker.
-    fn dispatch_funnel(
+    /// The send phase: one thin frame per *worker*, all sent before any
+    /// reply is awaited so workers compute concurrently. Steady state is
+    /// `StepGo` (compute the named pids from cached state, consuming the
+    /// last committed superstep's data-plane slot); at logical step 0 it is
+    /// `StepReset`, which pushes the driver's state down for the re-seed.
+    fn dispatch(
         &mut self,
         superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob>,
-        send_delay: &[Option<Duration>],
-    ) -> Result<()> {
-        for job in jobs {
-            let worker = self.map.worker_of(job.pid);
-            if let Some(delay) = send_delay[worker] {
-                thread::sleep(delay);
-            }
-            let msg = Message::RunStep {
-                pid: job.pid as u64,
-                superstep,
-                step,
-                state: job.state,
-                inbound: (*job.inbound).clone(),
-            };
-            let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
-            if let Err(e) = write_frame(&mut handle.stream, &msg, Some(&self.bytes_out)) {
-                return Err(self.fail(worker, superstep, format!("sending RunStep failed: {e}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// The direct-mode dispatch: one thin frame per *worker*. Steady state
-    /// is `StepGo` (compute the named pids from cached state, consuming the
-    /// last committed superstep's data-plane slot); after a failure,
-    /// rollback, or at the start it is `StepReset`, which pushes
-    /// authoritative state — and, for rollback strategies, the restored
-    /// inboxes — down the control connection.
-    fn dispatch_direct(
-        &mut self,
-        superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob>,
+        state: &Partitions<Record>,
         send_delay: &[Option<Duration>],
     ) -> Result<()> {
         self.ensure_membership(superstep)?;
-        let workers = self.slots.len();
-        let mut per_worker: Vec<Vec<StepJob>> = (0..workers).map(|_| Vec::new()).collect();
-        for job in jobs {
-            per_worker[self.map.worker_of(job.pid)].push(job);
-        }
-        // The slot steady-state dispatches consume: the messages produced by
-        // the last committed superstep. The logical first step has none.
-        let inbound_name = match self.last_committed {
-            Some(s) if step > 0 => s,
-            _ => NO_INBOUND,
-        };
-        let use_wire_inbound = self.cfg.strategy.is_rollback();
-        for (worker, wjobs) in per_worker.into_iter().enumerate() {
-            if let Some(delay) = send_delay[worker] {
-                thread::sleep(delay);
+        for (worker, delay) in send_delay.iter().enumerate() {
+            if let Some(delay) = delay {
+                thread::sleep(*delay);
             }
-            let msg = if self.push_state {
-                // A worker respawned since the last commit holds no
-                // data-plane slots: under optimistic recovery it computes
-                // from an empty inbound (compensation absorbs the gap)
-                // instead of stalling on a slot it can never complete.
-                let inbound_superstep = if use_wire_inbound || self.respawned_since_commit[worker] {
-                    NO_INBOUND
-                } else {
-                    inbound_name
-                };
+            let pids = self.pids_of(worker);
+            let msg = if self.step == 0 {
                 Message::StepReset {
                     superstep,
-                    step,
-                    inbound_superstep,
-                    use_wire_inbound: u64::from(use_wire_inbound),
-                    inboxes: if use_wire_inbound {
-                        wjobs.iter().map(|job| (job.pid as u64, (*job.inbound).clone())).collect()
-                    } else {
-                        Vec::new()
-                    },
-                    parts: wjobs.into_iter().map(|job| (job.pid as u64, job.state)).collect(),
+                    step: 0,
+                    parts: pids
+                        .into_iter()
+                        .map(|pid| (pid as u64, state.partition(pid).to_vec()))
+                        .collect(),
                 }
             } else {
                 Message::StepGo {
                     superstep,
-                    step,
-                    inbound_superstep: inbound_name,
-                    pids: wjobs.iter().map(|job| job.pid as u64).collect(),
+                    step: self.step,
+                    inbound_superstep: self.last_committed,
+                    pids: pids.into_iter().map(|pid| pid as u64).collect(),
                 }
             };
             let handle = self.slots[worker].handle.as_mut().expect("ensure_workers ran");
@@ -1282,23 +1156,21 @@ impl ClusterBackend {
         Ok(())
     }
 
-    /// Receive phase, shared by both dispatch modes. Replies on one
-    /// connection arrive in send order; frames tagged with an older
-    /// superstep are leftovers of a superstep that failed after this worker
-    /// had already answered — skip them. Workers write each telemetry frame
-    /// *before* its StepDone, so by the time every StepDone is in, so is
-    /// every telemetry frame for this superstep. Frames of a superstep that
-    /// fails are dropped with the local stash, keeping the journal free of
-    /// half-superstep data.
+    /// Receive phase. Replies on one connection arrive in send order;
+    /// frames tagged with an older superstep are leftovers of a superstep
+    /// that failed after this worker had already answered — skip them.
+    /// Workers write each telemetry frame *before* its StepDone, so by the
+    /// time every StepDone is in, so is every telemetry frame for this
+    /// superstep. Frames of a superstep that fails are dropped with the
+    /// local stash, keeping the journal free of half-superstep data.
     fn collect_step_results(
         &mut self,
         superstep: u32,
-        order: &[usize],
         mut recv_delay: Vec<Option<Duration>>,
     ) -> Result<Vec<StepResult>> {
-        let mut results = Vec::with_capacity(order.len());
+        let mut results = Vec::with_capacity(self.cfg.parallelism);
         let mut pending_spans: Vec<(usize, u64, Vec<SpanRow>)> = Vec::new();
-        for &pid in order {
+        for pid in 0..self.cfg.parallelism {
             let worker = self.map.worker_of(pid);
             // Straggler injection: the first read of this worker's replies
             // stalls, as if its compute ran slow. One stall per superstep.
@@ -1312,7 +1184,6 @@ impl ClusterBackend {
                         pid: rpid,
                         superstep: rss,
                         state,
-                        outbound,
                         changed,
                         shuffled,
                     }) => {
@@ -1320,7 +1191,7 @@ impl ClusterBackend {
                             continue;
                         }
                         if rss == superstep && rpid == pid as u64 {
-                            results.push(StepResult { pid, state, outbound, changed, shuffled });
+                            results.push(StepResult { pid, state, changed, shuffled });
                             break;
                         }
                         return Err(self.fail(
@@ -1384,45 +1255,17 @@ impl ClusterBackend {
 }
 
 impl StepBackend for ClusterBackend {
-    fn run_step(
-        &mut self,
-        superstep: u32,
-        step: u64,
-        jobs: Vec<StepJob>,
-    ) -> Result<Vec<StepResult>> {
+    fn run_step(&mut self, superstep: u32, state: &Partitions<Record>) -> Result<Vec<StepResult>> {
         self.ensure_workers(superstep)?;
         self.apply_scale_events(superstep)?;
         let (send_delay, recv_delay) = self.inject_chaos(superstep);
-        let order: Vec<usize> = jobs.iter().map(|job| job.pid).collect();
         self.step_started = Some(Instant::now());
-
-        // Send phase: every frame goes out before any reply is awaited, so
-        // workers compute their partitions concurrently.
-        match self.cfg.data_plane {
-            DataPlaneMode::Coordinator => {
-                self.dispatch_funnel(superstep, step, jobs, &send_delay)?
-            }
-            DataPlaneMode::Direct => self.dispatch_direct(superstep, step, jobs, &send_delay)?,
-        }
-        let mut results = self.collect_step_results(superstep, &order, recv_delay)?;
-
+        self.dispatch(superstep, state, &send_delay)?;
+        let results = self.collect_step_results(superstep, recv_delay)?;
         // Returning `Ok` *is* the commit: nothing in the step operator can
-        // fail past this point, so the bookkeeping that distinguishes a
-        // steady-state dispatch from a recovery dispatch settles here.
-        if std::mem::take(&mut self.force_changed)
-            && self.cfg.data_plane == DataPlaneMode::Direct
-            && !self.cfg.strategy.is_rollback()
-            && results.iter().all(|result| result.changed == 0)
-        {
-            // See `force_changed`: compensated partitions recomputed from an
-            // empty inbound; give their broadcasts one superstep to land.
-            if let Some(first) = results.first_mut() {
-                first.changed = 1;
-            }
-        }
-        self.last_committed = Some(superstep);
-        self.push_state = false;
-        self.respawned_since_commit.iter_mut().for_each(|flag| *flag = false);
+        // fail past this point.
+        self.last_committed = superstep;
+        self.step += 1;
         Ok(results)
     }
 
@@ -1542,83 +1385,27 @@ fn heartbeat_loop(
     }
 }
 
-/// The superstep context shared between the step operator and the recovery
-/// handler: a restore must rewind not just the partition state (which the
-/// driver hands back) but also the message inboxes and the logical step
-/// counter — the parts of the cut the driver does not manage.
-struct SharedStepState {
-    /// Per-partition message inboxes with snapshot/commit semantics:
-    /// inboxes are only replaced when a superstep *commits*, so the re-run
-    /// after a failed attempt re-reads the exact same inbound messages.
-    /// Each inbox is an immutable `Arc` snapshot, sorted at commit time —
-    /// dispatch and snapshot captures clone pointers, never messages.
-    inboxes: parking_lot::Mutex<Vec<Arc<Vec<Msg>>>>,
-    /// Logical step index: the number of committed supersteps.
-    steps_committed: AtomicU64,
-}
-
-fn empty_inboxes(parallelism: usize) -> Vec<Arc<Vec<Msg>>> {
-    (0..parallelism).map(|_| Arc::new(Vec::new())).collect()
-}
-
 /// The distributed-superstep operator injected into the iteration body.
 struct ClusterStepOp {
     backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-    shared: Arc<SharedStepState>,
     changed: Arc<AtomicU64>,
 }
 
 impl DynOp for ClusterStepOp {
     fn execute(&mut self, inputs: &[Erased], ctx: &ExecContext) -> Result<Erased> {
         let superstep = ctx.superstep().unwrap_or(0);
-        let state: Partitions<Record> = inputs[0].clone().take("ClusterStep(state)")?;
+        let state = inputs[0].downcast::<Record>("ClusterStep(state)")?;
+        let results = self.backend.lock().run_step(superstep, state)?;
 
-        let (jobs, parallelism) = {
-            // Satellite fix: the old code deep-cloned (and re-sorted) every
-            // partition's full inbox under this lock every superstep. The
-            // inboxes are immutable snapshots now, sorted once at commit, so
-            // the lock covers O(partitions) `Arc` clones.
-            let inboxes = self.shared.inboxes.lock();
-            let jobs: Vec<StepJob> = state
-                .iter()
-                .map(|(pid, records)| StepJob {
-                    pid,
-                    state: records.to_vec(),
-                    inbound: inboxes[pid].clone(),
-                })
-                .collect();
-            (jobs, inboxes.len())
-        };
-
-        let step = self.shared.steps_committed.load(Ordering::SeqCst);
-        let results = self.backend.lock().run_step(superstep, step, jobs)?;
-
-        // Commit: new state, rebuilt inboxes, published convergence count.
-        let mut parts: Vec<Vec<Record>> = vec![Vec::new(); parallelism];
-        let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); parallelism];
+        // Commit: new state and the published convergence count.
+        let mut parts: Vec<Vec<Record>> = vec![Vec::new(); state.num_partitions()];
         let mut changed_total = 0u64;
         let mut shuffled = 0u64;
         for result in results {
             changed_total += result.changed;
             shuffled += result.shuffled;
-            for msg in result.outbound {
-                inboxes[(msg.1 as usize) % parallelism].push(msg);
-            }
             parts[result.pid] = result.state;
         }
-        // Sorting at commit fixes the fold order of floating-point sums,
-        // making every superstep bitwise deterministic regardless of which
-        // worker answered first — and it happens once per inbox lifetime
-        // instead of once per dispatch.
-        let inboxes: Vec<Arc<Vec<Msg>>> = inboxes
-            .into_iter()
-            .map(|mut inbox| {
-                inbox.sort_unstable();
-                Arc::new(inbox)
-            })
-            .collect();
-        *self.shared.inboxes.lock() = inboxes;
-        self.shared.steps_committed.fetch_add(1, Ordering::SeqCst);
         self.changed.store(changed_total, Ordering::SeqCst);
         ctx.add_shuffled(shuffled);
         Ok(Erased::new(Partitions::from_parts(parts)))
@@ -1626,124 +1413,6 @@ impl DynOp for ClusterStepOp {
 
     fn kind(&self) -> &'static str {
         "ClusterStep"
-    }
-}
-
-/// One captured channel cut: `(epoch, inbox snapshots, committed steps)`.
-/// State after superstep `E` plus the messages produced *by* superstep `E`
-/// form the consistent cut — the superstep boundary plays the role of
-/// Chandy–Lamport's channel drain.
-type ChannelCapture = (u32, Vec<Arc<Vec<Msg>>>, u64);
-
-impl SharedStepState {
-    /// The channel cut as of now, tagged with the restore point's epoch.
-    fn capture(&self, epoch: u32) -> ChannelCapture {
-        (epoch, self.inboxes.lock().clone(), self.steps_committed.load(Ordering::SeqCst))
-    }
-
-    /// Clear the inboxes and zero the step counter: the channel half of a
-    /// restart from the initial input.
-    fn reset(&self) {
-        let mut inboxes = self.inboxes.lock();
-        let parallelism = inboxes.len();
-        *inboxes = empty_inboxes(parallelism);
-        self.steps_committed.store(0, Ordering::SeqCst);
-    }
-}
-
-/// A `recovery` strategy wrapped with the cluster's channel obligations:
-/// the strategy rolls the partition state back, the wrapper rolls the
-/// shared inboxes and step counter back with it — to the channel cut
-/// captured with the restored state, or to empty on a restart.
-struct ChannelRollback<H> {
-    inner: H,
-    shared: Arc<SharedStepState>,
-    /// The channel cut belonging to the strategy's current restore point.
-    restore_point: Arc<parking_lot::Mutex<Option<ChannelCapture>>>,
-    /// Capture the cut whenever the strategy writes a checkpoint
-    /// (synchronous checkpoints); asynchronous snapshots capture from their
-    /// barrier probe instead.
-    capture_on_checkpoint: bool,
-}
-
-impl<H> ChannelRollback<H> {
-    fn new(inner: H, shared: Arc<SharedStepState>, capture_on_checkpoint: bool) -> Self {
-        ChannelRollback { inner, shared, restore_point: Arc::default(), capture_on_checkpoint }
-    }
-}
-
-/// [`recovery::AsyncSnapshotHandler`] with its channel half: the barrier
-/// probe stages the cut when a barrier fires, promotes it to the restore
-/// point when the epoch completes, and ships every persisted chunk to its
-/// owning worker through the backend.
-fn snapshot_handler(
-    interval: u32,
-    backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>>,
-    shared: Arc<SharedStepState>,
-    telemetry: SinkHandle,
-) -> ChannelRollback<recovery::AsyncSnapshotHandler<recovery::MemoryStore>> {
-    let restore_point: Arc<parking_lot::Mutex<Option<ChannelCapture>>> = Arc::default();
-    let probe = {
-        let restore_point = restore_point.clone();
-        let shared = shared.clone();
-        let mut in_flight: Option<ChannelCapture> = None;
-        Box::new(move |event: recovery::BarrierEvent<'_>| match event {
-            recovery::BarrierEvent::Started { epoch, .. } => {
-                in_flight = Some(shared.capture(epoch));
-            }
-            recovery::BarrierEvent::ChunkPersisted { epoch, pid, chunk } => {
-                backend.lock().stage_snapshot(epoch, pid, chunk);
-            }
-            recovery::BarrierEvent::Completed { epoch } => {
-                if let Some(capture) = in_flight.take_if(|c| c.0 == epoch) {
-                    *restore_point.lock() = Some(capture);
-                }
-            }
-            recovery::BarrierEvent::Aborted { .. } => in_flight = None,
-        })
-    };
-    let inner = recovery::AsyncSnapshotHandler::new(recovery::MemoryStore::new(), interval)
-        .with_telemetry(telemetry)
-        .with_probe(probe);
-    ChannelRollback { inner, shared, restore_point, capture_on_checkpoint: false }
-}
-
-impl<H: FaultHandler<Partitions<Record>>> FaultHandler<Partitions<Record>> for ChannelRollback<H> {
-    fn after_superstep(
-        &mut self,
-        iteration: u32,
-        state: &Partitions<Record>,
-    ) -> Result<Option<CheckpointCost>> {
-        let cost = self.inner.after_superstep(iteration, state)?;
-        if cost.is_some() && self.capture_on_checkpoint {
-            *self.restore_point.lock() = Some(self.shared.capture(iteration));
-        }
-        Ok(cost)
-    }
-
-    fn on_failure(
-        &mut self,
-        iteration: u32,
-        lost: &[PartitionId],
-        state: &mut Partitions<Record>,
-    ) -> Result<RecoveryAction<Partitions<Record>>> {
-        let action = self.inner.on_failure(iteration, lost, state)?;
-        match &action {
-            RecoveryAction::Restored { iteration: epoch, .. } => {
-                let restore_point = self.restore_point.lock();
-                let (_, inboxes, step) =
-                    restore_point.as_ref().filter(|c| c.0 == *epoch).ok_or_else(|| {
-                        EngineError::Recovery(format!(
-                            "restore point {epoch} has no captured channel state"
-                        ))
-                    })?;
-                *self.shared.inboxes.lock() = inboxes.clone();
-                self.shared.steps_committed.store(*step, Ordering::SeqCst);
-            }
-            RecoveryAction::Restart => self.shared.reset(),
-            _ => {}
-        }
-        Ok(action)
     }
 }
 
@@ -1833,7 +1502,8 @@ pub fn run_cluster(
 
 /// Run the *same* named program single-process: the baseline a cluster run
 /// is diffed against. Failure-free local and cluster runs are bitwise
-/// identical because both route through the same step assembly.
+/// identical because both fold every partition's inbound in the same sorted
+/// order.
 pub fn run_local(
     program_name: &str,
     graph: &Graph,
@@ -1857,7 +1527,13 @@ pub fn run_local_warm(
     let program = resolve(program_name)?;
     let n = graph.num_vertices() as u64;
     let adjacency = Arc::new(partition_rows(graph, parallelism));
-    let backend = LocalBackend { program: program.clone(), adjacency: adjacency.clone(), n };
+    let backend = LocalBackend {
+        program: program.clone(),
+        adjacency: adjacency.clone(),
+        n,
+        step: 0,
+        inboxes: vec![Vec::new(); parallelism],
+    };
     run_with_backend(
         program,
         Box::new(backend),
@@ -1915,10 +1591,6 @@ fn run_with_backend(
 
     let backend: Arc<parking_lot::Mutex<Box<dyn StepBackend>>> =
         Arc::new(parking_lot::Mutex::new(backend));
-    let shared = Arc::new(SharedStepState {
-        inboxes: parking_lot::Mutex::new(empty_inboxes(parallelism)),
-        steps_committed: AtomicU64::new(0),
-    });
 
     let mut iteration = BulkIteration::new(&initial, max_iterations);
     match strategy {
@@ -1941,26 +1613,24 @@ fn run_with_backend(
                 .set_fault_handler(OptimisticHandler::new(compensation).with_telemetry(telemetry));
         }
         ClusterStrategy::Checkpoint { interval } => {
-            let checkpoints =
+            iteration.set_fault_handler(
                 recovery::CheckpointHandler::new(recovery::MemoryStore::new(), interval)
-                    .with_telemetry(telemetry);
-            iteration.set_fault_handler(ChannelRollback::new(checkpoints, shared.clone(), true));
+                    .with_telemetry(telemetry),
+            );
         }
         ClusterStrategy::AsyncSnapshot { interval } => {
-            iteration.set_fault_handler(snapshot_handler(
-                interval,
-                backend.clone(),
-                shared.clone(),
-                telemetry,
-            ));
+            // Every persisted chunk ships to its owning worker.
+            let backend = backend.clone();
+            let sink = Box::new(move |epoch, pid, chunk: &[u8]| {
+                backend.lock().stage_snapshot(epoch, pid, chunk);
+            });
+            iteration.set_fault_handler(
+                recovery::AsyncSnapshotHandler::new(recovery::MemoryStore::new(), interval)
+                    .with_telemetry(telemetry)
+                    .with_chunk_sink(sink),
+            );
         }
-        ClusterStrategy::Restart => {
-            iteration.set_fault_handler(ChannelRollback::new(
-                RestartHandler,
-                shared.clone(),
-                false,
-            ));
-        }
+        ClusterStrategy::Restart => iteration.set_fault_handler(RestartHandler),
     }
     iteration.set_convergence_probe(|prev: &Partitions<Record>, next: &Partitions<Record>| {
         let changed_per_partition = prev
@@ -1984,7 +1654,7 @@ fn run_with_backend(
     let step = body.custom_node::<Record>(
         "cluster-step",
         vec![state.node_id()],
-        Box::new(ClusterStepOp { backend, shared, changed: changed.clone() }),
+        Box::new(ClusterStepOp { backend, changed: changed.clone() }),
     );
     let probe = body.custom_node::<u8>(
         "changed-probe",
@@ -2171,22 +1841,6 @@ mod tests {
             ClusterConfig::new(2, 4, 10).with_strategy(ClusterStrategy::Checkpoint { interval: 0 });
         let err = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap_err();
         assert!(err.to_string().contains("interval"), "{err}");
-    }
-
-    #[test]
-    fn direct_data_plane_is_the_default_and_the_builder_overrides_it() {
-        let cfg = ClusterConfig::new(2, 4, 10);
-        assert_eq!(cfg.data_plane, DataPlaneMode::Direct);
-        let cfg = cfg.with_data_plane(DataPlaneMode::Coordinator);
-        assert_eq!(cfg.data_plane, DataPlaneMode::Coordinator);
-    }
-
-    #[test]
-    fn rollback_strategies_ship_outbound_through_the_coordinator() {
-        assert!(!ClusterStrategy::Optimistic.is_rollback());
-        assert!(!ClusterStrategy::Restart.is_rollback());
-        assert!(ClusterStrategy::Checkpoint { interval: 2 }.is_rollback());
-        assert!(ClusterStrategy::AsyncSnapshot { interval: 2 }.is_rollback());
     }
 
     #[test]

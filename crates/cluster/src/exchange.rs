@@ -8,7 +8,10 @@
 //! Slots are keyed by the chronological superstep that *produced* the
 //! messages; the consuming [`crate::protocol::Message::StepGo`] names the
 //! slot explicitly, so output of failed attempts is never consumed — it is
-//! simply never named and is garbage-collected once a later slot is.
+//! simply never named and is garbage-collected once a later slot is
+//! consumed or a new membership is installed. A slot is consumed exactly
+//! once: recovery never re-reads one, because the re-seed superstep after a
+//! failure derives every in-flight message from the pushed state.
 //!
 //! Epoch filtering is the data-plane half of the "declared dead" protocol
 //! (the coordinator's superstep-echo skip is the control-plane half): every
@@ -42,8 +45,8 @@ struct Inbox {
     members: BTreeSet<u64>,
     /// Per-superstep slots. Retained until GC'd by a later consume.
     slots: BTreeMap<u32, Slot>,
-    /// Supersteps below this have been garbage-collected; late frames for
-    /// them are dropped without creating a new slot.
+    /// Supersteps below this have been consumed or garbage-collected; late
+    /// frames for them are dropped without creating a new slot.
     floor: u32,
     /// Members whose incoming peer connection dropped under the current
     /// epoch. A slot missing a gone member's flush can never complete, so
@@ -74,16 +77,16 @@ pub struct DataPlane {
 }
 
 impl DataPlane {
-    /// Install a new membership epoch. Existing slots are *retained*:
-    /// chronological supersteps are never reused across epochs, so data
-    /// legitimately deposited under the old epoch (in particular the
-    /// last-committed superstep's slot, which optimistic recovery re-reads
-    /// on survivors) stays consumable, while frames still in flight from
-    /// the old epoch are rejected at arrival time by the epoch check.
+    /// Install a new membership epoch and drop every slot: the coordinator
+    /// follows each membership change with a re-seed superstep, so nothing
+    /// deposited under the old epoch is ever consumed, and frames still in
+    /// flight from the old epoch are rejected at arrival time by the epoch
+    /// check.
     pub fn install_membership(&self, epoch: u64, members: impl IntoIterator<Item = u64>) {
         let mut inbox = self.inbox.lock().unwrap();
         inbox.epoch = epoch;
         inbox.members = members.into_iter().collect();
+        inbox.slots.clear();
         inbox.gone.clear();
         drop(inbox);
         self.complete.notify_all();
@@ -159,16 +162,14 @@ impl DataPlane {
     }
 
     /// Take `superstep`'s collected messages sorted by `(src, dst, bits)` —
-    /// the same canonical order the coordinator funnel produces, so direct
-    /// and routed runs are bitwise-comparable — and garbage-collect every
-    /// *older* slot. The consumed slot itself is retained intact so a
-    /// post-failure retry under optimistic recovery can re-consume it.
+    /// the canonical order `run_local` folds in, so cluster and local runs
+    /// are bitwise-comparable — and garbage-collect it with every older
+    /// slot.
     pub fn take_sorted(&self, superstep: u32) -> Vec<Msg> {
         let mut inbox = self.inbox.lock().unwrap();
-        inbox.floor = superstep;
-        inbox.slots.retain(|&s, _| s >= superstep);
-        let mut msgs =
-            inbox.slots.get(&superstep).map(|slot| slot.msgs.clone()).unwrap_or_default();
+        let mut msgs = inbox.slots.remove(&superstep).map(|slot| slot.msgs).unwrap_or_default();
+        inbox.floor = superstep.saturating_add(1);
+        inbox.slots.retain(|&s, _| s > superstep);
         drop(inbox);
         msgs.sort_unstable();
         msgs
@@ -203,17 +204,17 @@ mod tests {
     }
 
     #[test]
-    fn take_sorted_orders_canonically_and_is_repeatable() {
+    fn take_sorted_orders_canonically_and_consumes_the_slot() {
         let plane = DataPlane::default();
         plane.install_membership(1, [0]);
         plane.deposit(1, 3, &[(2, 1, 9), (0, 1, 4)]);
         plane.deposit(1, 3, &[(1, 0, 5)]);
         plane.flush(1, 3, 0);
-        let sorted = vec![(0, 1, 4), (1, 0, 5), (2, 1, 9)];
-        assert_eq!(plane.take_sorted(3), sorted);
-        // Retained for a post-failure retry: consuming again yields the
-        // same slot, bit for bit.
-        assert_eq!(plane.take_sorted(3), sorted);
+        assert_eq!(plane.take_sorted(3), vec![(0, 1, 4), (1, 0, 5), (2, 1, 9)]);
+        // Consumed exactly once: a late frame for it is dropped, not stored.
+        plane.deposit(1, 3, &[(7, 0, 1)]);
+        assert_eq!(plane.take_sorted(3), Vec::<Msg>::new());
+        assert_eq!(plane.dropped(), 1);
     }
 
     #[test]
@@ -232,27 +233,24 @@ mod tests {
 
     #[test]
     fn stale_epoch_frames_cannot_double_deliver() {
-        // Satellite-3 regression shape: superstep 6 committed under epoch
-        // 1, then a straggler was declared dead mid-superstep-7 and the
-        // coordinator installed epoch 2. The straggler's late frames and
-        // flush must not land in any slot — but the committed slot stays
-        // readable for the optimistic retry.
+        // Superstep 6 completed under epoch 1, then a straggler was declared
+        // dead mid-superstep-7 and the coordinator installed epoch 2. The
+        // new membership drops every old slot — the re-seed that follows
+        // derives the in-flight messages from state — and the straggler's
+        // late frames and flush must not land in any slot.
         let plane = DataPlane::default();
         plane.install_membership(1, [0, 1]);
         plane.deposit(1, 6, &[(3, 0, 2)]);
         plane.flush(1, 6, 0);
         plane.flush(1, 6, 1);
         plane.install_membership(2, [0, 1]);
+        assert!(plane.wait_complete(6, Duration::from_millis(1)).is_err());
         // Late traffic from the dead worker's old incarnation (epoch 1) is
         // dropped wholesale, frame and flush alike.
         plane.deposit(1, 7, &[(5, 1, 1)]);
         plane.flush(1, 7, 1);
         assert_eq!(plane.dropped(), 2);
-        // The committed slot survived the membership change verbatim and is
-        // still complete; the failed attempt's slot holds nothing.
-        plane.wait_complete(6, Duration::from_millis(100)).unwrap();
-        assert_eq!(plane.take_sorted(6), vec![(3, 0, 2)]);
-        // The retry (superstep 8, epoch 2) sees only epoch-2 traffic.
+        // The re-seed (superstep 8, epoch 2) sees only epoch-2 traffic.
         plane.deposit(2, 8, &[(9, 0, 4)]);
         plane.flush(2, 8, 0);
         plane.flush(2, 8, 1);

@@ -30,9 +30,8 @@
 //!   loop, plus the direct data plane (peer links, batched shuffle,
 //!   superstep execution from cached state).
 //! * [`coordinator`] — worker lifecycle (spawn / heartbeat / kill /
-//!   respawn-with-backoff), the distributed superstep operator in both
-//!   data-plane modes, and the [`coordinator::run_cluster`] /
-//!   [`coordinator::run_local`] entry points.
+//!   respawn-with-backoff), the distributed superstep operator, and the
+//!   [`coordinator::run_cluster`] / [`coordinator::run_local`] entry points.
 
 #![warn(missing_docs)]
 
@@ -45,7 +44,7 @@ pub mod worker;
 
 pub use coordinator::{
     default_worker_cmd, run_cluster, run_local, run_local_warm, ChaosPlan, ClusterConfig,
-    ClusterRun, ClusterStrategy, DataPlaneMode, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
+    ClusterRun, ClusterStrategy, KillPlan, LinkPlan, ScaleEvent, StragglerPlan,
 };
 pub use placement::{PartitionMap, Rebalance, Rebalancer};
 pub use program::{lookup, program_names, ClusterProgram, StepOutput};

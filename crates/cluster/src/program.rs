@@ -9,12 +9,15 @@
 //! lost partitions; workers use it to execute supersteps.
 //!
 //! Programs are deliberately Pregel-shaped — per-partition state plus
-//! messages — because that is the granularity the wire protocol ships.
-//! Every vertex sends to all its neighbours every superstep (no change-only
-//! sending): after optimistic compensation resets a partition, its vertices
-//! must re-receive their neighbours' current values even if those neighbours
-//! stopped changing long ago, and unconditional sending guarantees that the
-//! only fixed point of the iteration is the true one.
+//! messages — because that is the granularity the wire protocol ships. A
+//! step's outbound messages are a function of its output state alone, so
+//! the messages in flight at a superstep barrier never need to be captured:
+//! after a failure, rollback, restart or rescale the coordinator pushes the
+//! recovered state in a re-seed superstep (logical step 0, no inbound),
+//! which keeps the state and re-emits exactly those messages — survivors'
+//! current values and the compensated partitions' reset values alike. That
+//! re-seed, not sending to every neighbour every superstep, is what re-feeds
+//! a compensated partition.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,6 +51,16 @@ pub struct StepOutput {
 /// 1:1 with its adjacency rows — `state[i].0 == rows[i].0`. [`Self::init_partition`]
 /// establishes the invariant, [`Self::step`] and [`Self::compensate_partition`]
 /// preserve it.
+///
+/// Recovery rests on a second invariant, the *re-seed* invariant: after
+/// any step that produced state `s` with outbound messages `m`,
+/// `step(0, s, &[], rows, n)` returns `s` unchanged and emits `m` again (as
+/// a multiset; delivery sorts it). Step 0 must also report a non-zero
+/// `changed` count for a non-empty partition, so a re-seed never
+/// terminates the run. The cluster runs step 0 whenever it pushes state —
+/// the first superstep and the first one after every failure, rollback,
+/// restart or rescale — so the channel state of a failure-free run is
+/// always rebuilt from the state alone.
 pub trait ClusterProgram: Send + Sync {
     /// Registry name, also used in telemetry (`"cc"`, `"pagerank"`).
     fn name(&self) -> &'static str;
@@ -65,10 +78,11 @@ pub trait ClusterProgram: Send + Sync {
 
     /// Execute one partition's share of a superstep.
     ///
-    /// `step` is the *logical* step index — the number of previously
-    /// committed supersteps — and is `0` exactly once even across failure
-    /// retries. `inbound` arrives sorted by `(src, dst, bits)` so floating
-    /// point folds are deterministic.
+    /// `step` is the *logical* step index — the number of supersteps
+    /// committed since state was last pushed — so it is `0` for the re-seed
+    /// superstep (see the re-seed invariant above), which always arrives
+    /// with an empty `inbound`. `inbound` arrives sorted by
+    /// `(src, dst, bits)` so floating point folds are deterministic.
     fn step(
         &self,
         step: u64,
@@ -121,8 +135,9 @@ impl ClusterProgram for CcProgram {
             }
         }
         if step == 0 {
-            // No messages have flowed yet; force at least one more superstep
-            // so neighbours see each other's labels before termination.
+            // The re-seed: no messages have flowed since state was pushed;
+            // force at least one more superstep so neighbours see each
+            // other's labels before termination.
             out.changed = state.len() as u64;
         }
         out
@@ -171,8 +186,8 @@ impl ClusterProgram for PageRankProgram {
         for (i, &(v, bits)) in state.iter().enumerate() {
             let old = f64::from_bits(bits);
             let new = if step == 0 {
-                // First superstep: no contributions exist yet; just seed the
-                // message flow from the initial ranks.
+                // The re-seed: no contributions have flowed since state was
+                // pushed; keep the ranks and seed the message flow from them.
                 old
             } else {
                 teleport + PAGERANK_DAMPING * sums.get(&v).copied().unwrap_or(0.0)
@@ -307,6 +322,55 @@ mod tests {
         let exact = graphs::exact_pagerank(&graph, graphs::PageRankParams::default());
         for (v, (a, b)) in ours.iter().zip(&exact).enumerate() {
             assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs reference {b}");
+        }
+    }
+
+    /// Outbound messages in delivery order.
+    fn sorted(mut msgs: Vec<Msg>) -> Vec<Msg> {
+        msgs.sort_unstable();
+        msgs
+    }
+
+    #[test]
+    fn a_reseed_returns_the_state_and_re_emits_its_messages() {
+        // The re-seed invariant the cluster's recovery rests on: after any
+        // step that produced `s`, step 0 over `s` with no inbound returns
+        // `s` unchanged, re-emits the same messages, and does not
+        // terminate. Checked after every step of a run on two partitions,
+        // and on a compensated partition.
+        let mut b = GraphBuilder::directed(7);
+        b.add_edge(0, 1).add_edge(1, 2).add_edge(2, 0).add_edge(3, 4);
+        b.add_edge(4, 3).add_edge(5, 0).add_edge(1, 5).add_edge(2, 6);
+        let graph = b.build();
+        let n = graph.num_vertices() as u64;
+        let parts = partition_rows(&graph, 2);
+        for name in program_names() {
+            let program = lookup(name).unwrap();
+            let mut states: Vec<Vec<Record>> =
+                parts.iter().map(|rows| program.init_partition(rows, n)).collect();
+            let mut inboxes: Vec<Vec<Msg>> = vec![Vec::new(); parts.len()];
+            for step in 0..12 {
+                let mut next: Vec<Vec<Msg>> = vec![Vec::new(); parts.len()];
+                for (pid, rows) in parts.iter().enumerate() {
+                    let out = program.step(step, &states[pid], &inboxes[pid], rows, n);
+                    let reseed = program.step(0, &out.state, &[], rows, n);
+                    assert_eq!(reseed.state, out.state, "{name} step {step} p{pid}: state moved");
+                    assert_eq!(
+                        sorted(reseed.outbound),
+                        sorted(out.outbound.clone()),
+                        "{name} step {step} p{pid}: messages differ"
+                    );
+                    assert!(reseed.changed > 0, "{name} step {step} p{pid}: re-seed terminates");
+                    for msg in out.outbound {
+                        next[(msg.1 % 2) as usize].push(msg);
+                    }
+                    states[pid] = out.state;
+                }
+                inboxes = next.into_iter().map(sorted).collect();
+            }
+            let compensated = program.compensate_partition(&parts[1], n);
+            let reseed = program.step(0, &compensated, &[], &parts[1], n);
+            assert_eq!(reseed.state, compensated, "{name}: compensated state moved");
         }
     }
 

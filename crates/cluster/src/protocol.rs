@@ -13,9 +13,8 @@
 //!
 //! Frame I/O optionally feeds the `net/bytes_in` / `net/bytes_out` counters
 //! of the coordinator's metric registry — the length prefix is included, so
-//! the counters reflect actual bytes on the wire. Under the direct data
-//! plane those counters cover the *control* plane only; peer-to-peer
-//! shuffle bytes are self-reported by workers via
+//! the counters reflect actual bytes on the wire. They cover the *control*
+//! plane only; peer-to-peer shuffle bytes are self-reported by workers via
 //! [`SPAN_PHASE_PEER_BYTES`] telemetry rows.
 
 use std::io::{self, Read, Write};
@@ -57,18 +56,13 @@ pub const SPAN_PHASE_EXCHANGE: u64 = 2;
 /// `(peer_worker, phase, bytes_sent, frames_sent)`.
 pub const SPAN_PHASE_PEER_BYTES: u64 = 3;
 
-/// Sentinel for [`Message::StepGo::inbound_superstep`] /
-/// [`Message::StepReset::inbound_superstep`]: the step consumes no
-/// data-plane inbox slot (the initial superstep, or a restart from
-/// scratch).
-pub const NO_INBOUND: u32 = u32::MAX;
-
 /// Upper bound on a single frame's payload; a length prefix beyond this is
 /// treated as stream corruption rather than an allocation request.
 pub const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// A protocol message. Tags are part of the wire format — append new
-/// variants, never renumber.
+/// variants, never renumber. Tag 3 belonged to the retired coordinator-funnel
+/// step request and is never reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
     /// Coordinator → worker: first frame on the control connection.
@@ -90,24 +84,10 @@ pub enum Message {
         /// Adjacency rows per owned partition: `(pid, rows)`.
         adjacency: Vec<(u64, AdjRows)>,
     },
-    /// Coordinator → worker: run one partition's share of a superstep.
-    RunStep {
-        /// Partition to step.
-        pid: u64,
-        /// Chronological superstep (strictly increasing across retries; used
-        /// to discard stale replies after a failed superstep).
-        superstep: u32,
-        /// Logical step index: the number of *committed* supersteps so far.
-        /// Programs use it to special-case the first step; unlike the
-        /// chronological superstep it does not advance on failed attempts.
-        step: u64,
-        /// The partition's current state.
-        state: Vec<Record>,
-        /// Inbound messages for this partition, sorted by `(src, dst, bits)`.
-        inbound: Vec<Msg>,
-    },
-    /// Worker → coordinator: the result of one [`Message::RunStep`] or of
-    /// one partition inside a [`Message::StepGo`] / [`Message::StepReset`].
+    /// Worker → coordinator: the result of one partition inside a
+    /// [`Message::StepGo`] / [`Message::StepReset`]. Carries state and
+    /// counts only; the partition's outbound messages travel peer-to-peer
+    /// as [`Message::ShuffleFrame`]s.
     StepDone {
         /// Partition that was stepped.
         pid: u64,
@@ -115,17 +95,9 @@ pub enum Message {
         superstep: u32,
         /// The partition's new state, same vertex order as the request.
         state: Vec<Record>,
-        /// Messages produced for the *next* superstep (any destination).
-        /// Under the direct data plane this is empty unless the membership
-        /// frame set `ship_outbound` (rollback strategies keep the
-        /// coordinator's inbox copy authoritative); the messages themselves
-        /// travel peer-to-peer as [`Message::ShuffleFrame`]s.
-        outbound: Vec<Msg>,
         /// Records considered changed by the program's convergence test.
         changed: u64,
-        /// Messages produced by this partition (counted before any
-        /// data-plane routing), so shuffle statistics survive an empty
-        /// `outbound`.
+        /// Messages this partition produced for the next superstep.
         shuffled: u64,
     },
     /// Coordinator → worker: liveness probe (dedicated connection).
@@ -141,7 +113,7 @@ pub enum Message {
     /// Coordinator → worker: exit cleanly.
     Shutdown,
     /// Worker → coordinator: the worker-side telemetry batch for one
-    /// [`Message::RunStep`], written on the control connection immediately
+    /// partition's step, written on the control connection immediately
     /// *before* the matching [`Message::StepDone`] — so once the
     /// coordinator has collected every `StepDone` of a superstep, TCP
     /// ordering guarantees it has already seen every telemetry frame, and
@@ -186,19 +158,12 @@ pub enum Message {
     /// direct data plane. Re-broadcast with a bumped `epoch` after every
     /// respawn; each worker (re)connects its outgoing peer links and drops
     /// data-plane frames tagged with any other epoch. Acked with
-    /// [`Message::Welcome`] once the worker's peer links are up. Never sent
-    /// in coordinator-routed mode, which is how workers know which mode a
-    /// run uses.
+    /// [`Message::Welcome`] once the worker's peer links are up.
     Membership {
         /// Membership epoch; bumped on every (re)broadcast.
         epoch: u64,
         /// Number of partitions (destination routing: `dst % parallelism`).
         parallelism: u64,
-        /// Non-zero when workers must piggyback their outbound messages in
-        /// [`Message::StepDone`] so the coordinator's inbox copy stays
-        /// authoritative (required by rollback strategies' channel
-        /// captures).
-        ship_outbound: u64,
         /// How long a worker waits for data-plane completeness before
         /// reporting [`Message::StepFailed`], in milliseconds.
         data_timeout_ms: u64,
@@ -245,42 +210,35 @@ pub enum Message {
     },
     /// Coordinator → worker: run one superstep over all of the worker's
     /// partitions from its cached state, consuming the data-plane inbox slot
-    /// named by `inbound_superstep`. The cheap steady-state dispatch of the
-    /// direct data plane — state travels down only in [`Message::StepReset`].
+    /// named by `inbound_superstep`. The steady-state dispatch — state
+    /// travels down only in [`Message::StepReset`].
     StepGo {
         /// Chronological superstep.
         superstep: u32,
-        /// Logical step index (committed supersteps so far).
+        /// Logical step index: supersteps committed since the last
+        /// [`Message::StepReset`] (never `0`).
         step: u64,
-        /// Chronological superstep whose data-plane output to consume, or
-        /// [`NO_INBOUND`] for an empty inbound.
+        /// Chronological superstep whose data-plane output to consume: the
+        /// last committed one.
         inbound_superstep: u32,
         /// The worker's partitions, ascending; replies come back in this
         /// order.
         pids: Vec<u64>,
     },
-    /// Coordinator → worker: like [`Message::StepGo`], but pushes
-    /// authoritative partition state first — the recovery/retry dispatch
-    /// (first superstep, post-failure retries, rollback restores).
+    /// Coordinator → worker: install pushed partition state and run the
+    /// re-seed superstep over it — the first superstep, and the first one
+    /// after every failure, rollback, restart or rescale. It always runs as
+    /// logical step `0` with no inbound: the programs keep the pushed state
+    /// and re-emit from it exactly the messages a failure-free run would
+    /// have in flight (see [`crate::program::ClusterProgram`]), so no
+    /// channel state is ever captured or pushed.
     StepReset {
         /// Chronological superstep.
         superstep: u32,
-        /// Logical step index.
+        /// Logical step index the coordinator sends: always `0`.
         step: u64,
-        /// Chronological superstep whose data-plane output to consume when
-        /// `use_wire_inbound` is zero, or [`NO_INBOUND`].
-        inbound_superstep: u32,
-        /// Non-zero: compute from the pushed `inboxes` (rollback restores
-        /// an exact channel capture). Zero: compute from whatever the
-        /// retained data-plane slot holds (optimistic recovery — a
-        /// respawned worker's empty slot is compensated for by the
-        /// algorithm).
-        use_wire_inbound: u64,
-        /// Authoritative state per owned partition: `(pid, records)`.
+        /// Pushed state per owned partition: `(pid, records)`.
         parts: Vec<(u64, Vec<Record>)>,
-        /// Pushed inbound messages per owned partition: `(pid, msgs)`;
-        /// meaningful only when `use_wire_inbound` is non-zero.
-        inboxes: Vec<(u64, Vec<Msg>)>,
     },
     /// Worker → coordinator: the worker timed out waiting for data-plane
     /// completeness and computed nothing for `superstep`. The coordinator
@@ -319,7 +277,7 @@ pub enum Message {
     },
     /// Coordinator → worker: the current partition → worker assignment,
     /// broadcast immediately after [`Message::Membership`] under the same
-    /// epoch in direct mode. Workers route outbound messages by this table
+    /// epoch. Workers route outbound messages by this table
     /// (`assignment[dst % parallelism]`) instead of assuming `pid % members`,
     /// which is what lets partitions move between workers mid-run. Acked
     /// with [`Message::Welcome`]; a frame whose `epoch` is not the worker's
@@ -348,20 +306,11 @@ impl Codec for Message {
                 n.encode(out);
                 adjacency.encode(out);
             }
-            Message::RunStep { pid, superstep, step, state, inbound } => {
-                out.push(3);
-                pid.encode(out);
-                superstep.encode(out);
-                step.encode(out);
-                state.encode(out);
-                inbound.encode(out);
-            }
-            Message::StepDone { pid, superstep, state, outbound, changed, shuffled } => {
+            Message::StepDone { pid, superstep, state, changed, shuffled } => {
                 out.push(4);
                 pid.encode(out);
                 superstep.encode(out);
                 state.encode(out);
-                outbound.encode(out);
                 changed.encode(out);
                 shuffled.encode(out);
             }
@@ -393,11 +342,10 @@ impl Codec for Message {
                 pid.encode(out);
                 bytes.encode(out);
             }
-            Message::Membership { epoch, parallelism, ship_outbound, data_timeout_ms, peers } => {
+            Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
                 out.push(11);
                 epoch.encode(out);
                 parallelism.encode(out);
-                ship_outbound.encode(out);
                 data_timeout_ms.encode(out);
                 peers.encode(out);
             }
@@ -428,21 +376,11 @@ impl Codec for Message {
                 inbound_superstep.encode(out);
                 pids.encode(out);
             }
-            Message::StepReset {
-                superstep,
-                step,
-                inbound_superstep,
-                use_wire_inbound,
-                parts,
-                inboxes,
-            } => {
+            Message::StepReset { superstep, step, parts } => {
                 out.push(16);
                 superstep.encode(out);
                 step.encode(out);
-                inbound_superstep.encode(out);
-                use_wire_inbound.encode(out);
                 parts.encode(out);
-                inboxes.encode(out);
             }
             Message::StepFailed { superstep, waiting_on } => {
                 out.push(17);
@@ -477,18 +415,10 @@ impl Codec for Message {
                 n: u64::decode(input)?,
                 adjacency: Vec::decode(input)?,
             },
-            3 => Message::RunStep {
-                pid: u64::decode(input)?,
-                superstep: u32::decode(input)?,
-                step: u64::decode(input)?,
-                state: Vec::decode(input)?,
-                inbound: Vec::decode(input)?,
-            },
             4 => Message::StepDone {
                 pid: u64::decode(input)?,
                 superstep: u32::decode(input)?,
                 state: Vec::decode(input)?,
-                outbound: Vec::decode(input)?,
                 changed: u64::decode(input)?,
                 shuffled: u64::decode(input)?,
             },
@@ -514,7 +444,6 @@ impl Codec for Message {
             11 => Message::Membership {
                 epoch: u64::decode(input)?,
                 parallelism: u64::decode(input)?,
-                ship_outbound: u64::decode(input)?,
                 data_timeout_ms: u64::decode(input)?,
                 peers: Vec::decode(input)?,
             },
@@ -543,10 +472,7 @@ impl Codec for Message {
             16 => Message::StepReset {
                 superstep: u32::decode(input)?,
                 step: u64::decode(input)?,
-                inbound_superstep: u32::decode(input)?,
-                use_wire_inbound: u64::decode(input)?,
                 parts: Vec::decode(input)?,
-                inboxes: Vec::decode(input)?,
             },
             17 => Message::StepFailed {
                 superstep: u32::decode(input)?,
@@ -635,11 +561,21 @@ pub fn read_frame(r: &mut impl Read, bytes_in: Option<&Counter>) -> io::Result<M
 mod tests {
     use super::*;
 
+    /// Round-trip `msg` through a frame, and check that every strict prefix
+    /// of its payload decodes to an error rather than a panic or a bogus
+    /// message.
     fn round_trip(msg: Message) {
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg, None).unwrap();
         let decoded = read_frame(&mut buf.as_slice(), None).unwrap();
         assert_eq!(decoded, msg);
+        let payload = encode_to_vec(&msg);
+        for len in 0..payload.len() {
+            assert!(
+                decode_exact::<Message>(&payload[..len]).is_err(),
+                "{len}-byte prefix of {msg:?} decoded"
+            );
+        }
     }
 
     #[test]
@@ -651,18 +587,10 @@ mod tests {
             n: 10,
             adjacency: vec![(0, vec![(0, vec![1, 2]), (2, vec![0])]), (1, vec![(1, vec![0])])],
         });
-        round_trip(Message::RunStep {
-            pid: 1,
-            superstep: 4,
-            step: 3,
-            state: vec![(1, 1), (3, 0)],
-            inbound: vec![(0, 1, 0), (2, 3, 7)],
-        });
         round_trip(Message::StepDone {
             pid: 1,
             superstep: 4,
             state: vec![(1, 0)],
-            outbound: vec![(1, 0, 0)],
             changed: 1,
             shuffled: 7,
         });
@@ -680,7 +608,6 @@ mod tests {
         round_trip(Message::Membership {
             epoch: 3,
             parallelism: 8,
-            ship_outbound: 1,
             data_timeout_ms: 2_500,
             peers: vec![(0, 40_001), (1, 40_002), (2, 40_003)],
         });
@@ -706,11 +633,8 @@ mod tests {
         });
         round_trip(Message::StepReset {
             superstep: 10,
-            step: 8,
-            inbound_superstep: NO_INBOUND,
-            use_wire_inbound: 1,
+            step: 0,
             parts: vec![(1, vec![(1, 1), (5, 1)]), (3, vec![(3, 3)])],
-            inboxes: vec![(1, vec![(1, 1, 0)]), (3, vec![])],
         });
         round_trip(Message::StepFailed { superstep: 10, waiting_on: vec![0, 2] });
         round_trip(Message::WorkerJoin { worker: 2, superstep: 11 });
@@ -765,11 +689,16 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_a_decode_error() {
-        let payload = vec![99u8];
-        let mut buf = (payload.len() as u32).to_le_bytes().to_vec();
-        buf.extend_from_slice(&payload);
-        let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unknown cluster message tag"), "{err}");
+        // 3 is the retired funnel tag: it must stay unknown, not be reused.
+        for tag in [3u8, 21, 99] {
+            let mut buf = 1u32.to_le_bytes().to_vec();
+            buf.push(tag);
+            let err = read_frame(&mut buf.as_slice(), None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains(&format!("unknown cluster message tag {tag}")),
+                "{err}"
+            );
+        }
     }
 }

@@ -9,14 +9,15 @@
 //! superstep is being computed on the control connection.
 //!
 //! The same listener serves both planes: the coordinator's control
-//! connection, and — under the direct data plane — incoming peer
-//! connections carrying [`Message::ShuffleFrame`]s, which a connection
-//! thread deposits into the process-wide [`DataPlane`] inbox. The control
-//! connection installs peer links from [`Message::Membership`], then runs
-//! whole supersteps from [`Message::StepGo`] / [`Message::StepReset`]
-//! against cached partition state, shipping outbound messages directly to
-//! peers (batched, overlapped with the remaining partitions' compute)
-//! instead of funnelling them through the coordinator.
+//! connection, and incoming peer connections carrying
+//! [`Message::ShuffleFrame`]s, which a connection thread deposits into the
+//! process-wide [`DataPlane`] inbox. The control connection installs peer
+//! links from [`Message::Membership`], then runs whole supersteps against
+//! cached partition state: a [`Message::StepReset`] installs pushed state
+//! and re-seeds the message flow from it (logical step 0, no inbound), a
+//! [`Message::StepGo`] consumes the last committed superstep's inbox slot.
+//! Outbound messages go directly to peers, batched and overlapped with the
+//! remaining partitions' compute; the coordinator never holds any.
 //!
 //! Workers are deliberately crash-only: `Shutdown` exits the process, and
 //! every other termination path is an abrupt connection loss that the
@@ -45,7 +46,7 @@ use crate::exchange::DataPlane;
 use crate::program::{lookup, ClusterProgram};
 use crate::protocol::{
     read_frame, write_encoded_frame, write_frame, AdjRows, Message, Msg, Record, SpanRow,
-    NO_INBOUND, SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
+    SPAN_PHASE_COMPUTE, SPAN_PHASE_EXCHANGE, SPAN_PHASE_PEER_BYTES, SPAN_PHASE_SHUFFLE,
 };
 
 /// Marker line a worker prints to stdout once its listener is bound; the
@@ -92,16 +93,13 @@ struct WorkerState {
     snapshots: HashMap<u32, HashMap<u64, Vec<u8>>>,
 }
 
-/// Direct-data-plane context of the control connection, rebuilt from every
+/// Data-plane context of the control connection, rebuilt from every
 /// [`Message::Membership`] frame.
 struct DirectCtx {
     /// Current membership epoch; tags every outgoing data-plane frame.
     epoch: u64,
     /// Partition count (message routing: `dst % parallelism`).
     parallelism: u64,
-    /// Piggyback outbound messages in `StepDone` so the coordinator's inbox
-    /// copy stays authoritative (rollback strategies).
-    ship_outbound: bool,
     /// How long to wait for data-plane completeness before reporting
     /// [`Message::StepFailed`].
     data_timeout: Duration,
@@ -122,13 +120,12 @@ struct DirectCtx {
     state: HashMap<u64, Vec<Record>>,
 }
 
-/// One partition's outcome inside a direct-mode superstep, held back until
+/// One partition's outcome inside a superstep, held back until
 /// all data-plane flushes are written (peers must never wait on a partition
 /// whose `StepDone` the coordinator already counted).
 struct StepOutcome {
     pid: u64,
     state: Vec<Record>,
-    outbound: Vec<Msg>,
     changed: u64,
     shuffled: u64,
     compute_ns: u64,
@@ -217,13 +214,7 @@ fn serve(
                     drop(state);
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
-                Message::Membership {
-                    epoch,
-                    parallelism,
-                    ship_outbound,
-                    data_timeout_ms,
-                    peers,
-                } => {
+                Message::Membership { epoch, parallelism, data_timeout_ms, peers } => {
                     let my = worker.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "Membership before Hello")
                     })?;
@@ -246,28 +237,21 @@ fn serve(
                         worker,
                         None,
                         "membership",
-                        &format!(
-                            "epoch={epoch} members={} ship_outbound={ship_outbound}",
-                            peers.len()
-                        ),
+                        &format!("epoch={epoch} members={}", peers.len()),
                     );
-                    // Survivors keep their cached state across a membership
-                    // change; the coordinator pushes authoritative state in
-                    // the StepReset that follows a failure anyway. The
-                    // placement assignment is NOT kept: ownership may have
-                    // moved under the new epoch, so routing falls back to
-                    // `pid % members` until the MapUpdate that follows every
-                    // Membership broadcast re-installs it.
-                    let state = ctx.take().map(|c| c.state).unwrap_or_default();
+                    // Nothing carries over from the previous membership: the
+                    // StepReset that follows every membership change pushes
+                    // the state, and ownership may have moved, so routing
+                    // falls back to `pid % members` until the MapUpdate that
+                    // follows every Membership broadcast re-installs it.
                     ctx = Some(DirectCtx {
                         epoch,
                         parallelism,
-                        ship_outbound: ship_outbound != 0,
                         data_timeout: Duration::from_millis(data_timeout_ms),
                         members: peers.len() as u64,
                         assignment: Vec::new(),
                         links,
-                        state,
+                        state: HashMap::new(),
                     });
                     write_frame(&mut stream, &Message::Welcome, None)?;
                 }
@@ -324,31 +308,27 @@ fn serve(
                         seq = 0;
                         wlog(worker, Some(superstep), "step_go", &format!("pids={pids:?}"));
                     }
-                    let inbound = if inbound_superstep == NO_INBOUND {
-                        HashMap::new()
-                    } else {
-                        match plane.wait_complete(inbound_superstep, direct.data_timeout) {
-                            Ok(()) => bucket_by_pid(
-                                plane.take_sorted(inbound_superstep),
-                                direct.parallelism,
-                            ),
-                            Err(waiting_on) => {
-                                // Compute nothing: the coordinator treats the
-                                // missing peer as lost and resolves the
-                                // superstep through recovery.
-                                wlog(
-                                    worker,
-                                    Some(superstep),
-                                    "data_wait_timeout",
-                                    &format!("waiting_on={waiting_on:?}"),
-                                );
-                                write_frame(
-                                    &mut stream,
-                                    &Message::StepFailed { superstep, waiting_on },
-                                    None,
-                                )?;
-                                continue;
-                            }
+                    let inbound = match plane.wait_complete(inbound_superstep, direct.data_timeout)
+                    {
+                        Ok(()) => {
+                            bucket_by_pid(plane.take_sorted(inbound_superstep), direct.parallelism)
+                        }
+                        Err(waiting_on) => {
+                            // Compute nothing: the coordinator treats the
+                            // missing peer as lost and resolves the
+                            // superstep through recovery.
+                            wlog(
+                                worker,
+                                Some(superstep),
+                                "data_wait_timeout",
+                                &format!("waiting_on={waiting_on:?}"),
+                            );
+                            write_frame(
+                                &mut stream,
+                                &Message::StepFailed { superstep, waiting_on },
+                                None,
+                            )?;
+                            continue;
                         }
                     };
                     run_direct_step(
@@ -364,14 +344,7 @@ fn serve(
                         &mut seq,
                     )?;
                 }
-                Message::StepReset {
-                    superstep,
-                    step,
-                    inbound_superstep,
-                    use_wire_inbound,
-                    parts,
-                    inboxes,
-                } => {
+                Message::StepReset { superstep, step, parts } => {
                     let my = worker.ok_or_else(|| {
                         io::Error::new(io::ErrorKind::InvalidData, "StepReset before Hello")
                     })?;
@@ -382,39 +355,13 @@ fn serve(
                         telemetry_superstep = superstep;
                         seq = 0;
                     }
-                    wlog(
-                        worker,
-                        Some(superstep),
-                        "step_reset",
-                        &format!(
-                            "parts={} use_wire_inbound={use_wire_inbound} \
-                             inbound_superstep={inbound_superstep}",
-                            parts.len()
-                        ),
-                    );
+                    wlog(worker, Some(superstep), "step_reset", &format!("parts={}", parts.len()));
+                    // The push covers every partition this worker owns, so
+                    // it replaces the cache (dropping partitions that moved).
                     let pids: Vec<u64> = parts.iter().map(|&(pid, _)| pid).collect();
-                    for (pid, records) in parts {
-                        direct.state.insert(pid, records);
-                    }
-                    let inbound: HashMap<u64, Vec<Msg>> = if use_wire_inbound != 0 {
-                        inboxes.into_iter().collect()
-                    } else if inbound_superstep == NO_INBOUND {
-                        HashMap::new()
-                    } else {
-                        // Optimistic retry: the named slot is the committed
-                        // superstep, complete on survivors modulo in-flight
-                        // flushes. Wait briefly, then proceed with whatever
-                        // arrived — compensation absorbs any shortfall.
-                        if plane.wait_complete(inbound_superstep, direct.data_timeout).is_err() {
-                            wlog(
-                                worker,
-                                Some(superstep),
-                                "reset_slot_incomplete",
-                                &format!("inbound_superstep={inbound_superstep}"),
-                            );
-                        }
-                        bucket_by_pid(plane.take_sorted(inbound_superstep), direct.parallelism)
-                    };
+                    direct.state = parts.into_iter().collect();
+                    // The re-seed superstep: no inbound, so the program keeps
+                    // the pushed state and re-emits its messages.
                     run_direct_step(
                         &mut stream,
                         my,
@@ -423,7 +370,7 @@ fn serve(
                         &plane,
                         superstep,
                         step,
-                        inbound,
+                        HashMap::new(),
                         &pids,
                         &mut seq,
                     )?;
@@ -437,60 +384,6 @@ fn serve(
                 }
                 Message::ShuffleFlush { from_worker, epoch, superstep, .. } => {
                     plane.flush(epoch, superstep, from_worker);
-                }
-                Message::RunStep { pid, superstep, step, state, inbound } => {
-                    let (program, rows, n) = {
-                        let shared = shared.lock();
-                        let program = shared.program.clone().ok_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidData, "RunStep before LoadProgram")
-                        })?;
-                        let rows = shared.adjacency.get(&pid).cloned().ok_or_else(|| {
-                            io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("RunStep for partition {pid} not owned by this worker"),
-                            )
-                        })?;
-                        (program, rows, shared.n)
-                    };
-                    if superstep != telemetry_superstep {
-                        telemetry_superstep = superstep;
-                        seq = 0;
-                        wlog(worker, Some(superstep), "run_step", &format!("first_pid={pid}"));
-                    }
-                    let compute_start = Instant::now();
-                    let out = program.step(step, &state, &inbound, &rows, n);
-                    let compute_ns = compute_start.elapsed().as_nanos() as u64;
-                    let records = (out.state.len() + out.outbound.len()) as u64;
-                    let shuffled = out.outbound.len() as u64;
-                    let reply = Message::StepDone {
-                        pid,
-                        superstep,
-                        state: out.state,
-                        outbound: out.outbound,
-                        changed: out.changed,
-                        shuffled,
-                    };
-                    let shuffle_start = Instant::now();
-                    let payload = encode_to_vec(&reply);
-                    let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
-                    // Telemetry first, then the pre-encoded reply: TCP
-                    // ordering makes the frame visible to the coordinator no
-                    // later than the StepDone it describes.
-                    write_frame(
-                        &mut stream,
-                        &Message::TelemetryFrame {
-                            worker: worker.unwrap_or(0),
-                            superstep,
-                            seq,
-                            spans: vec![
-                                (pid, SPAN_PHASE_COMPUTE, records, compute_ns),
-                                (pid, SPAN_PHASE_SHUFFLE, records, shuffle_ns),
-                            ],
-                        },
-                        None,
-                    )?;
-                    seq += 1;
-                    write_encoded_frame(&mut stream, &payload, None)?;
                 }
                 Message::SnapshotBarrier { epoch, pid, chunk } => {
                     let bytes = chunk.len() as u64;
@@ -557,8 +450,8 @@ fn connect_peer(port: u64) -> io::Result<TcpStream> {
 
 /// Split a sorted message vector into per-partition inboxes by
 /// `dst % parallelism`. Splitting preserves the global `(src, dst, bits)`
-/// order inside each bucket, so per-partition inbound matches what the
-/// coordinator funnel would have produced byte for byte.
+/// order inside each bucket, so per-partition inbound matches the sorted
+/// inbox `run_local` keeps, byte for byte.
 fn bucket_by_pid(msgs: Vec<Msg>, parallelism: u64) -> HashMap<u64, Vec<Msg>> {
     let mut buckets: HashMap<u64, Vec<Msg>> = HashMap::new();
     for msg in msgs {
@@ -605,7 +498,7 @@ fn ship_batch(
     }
 }
 
-/// Run one whole superstep over this worker's partitions in direct mode:
+/// Run one whole superstep over this worker's partitions:
 /// compute each partition against its resolved inbound, route outbound
 /// messages into per-peer batches (full batches ship mid-superstep,
 /// overlapping the remaining compute), flush every peer, deposit
@@ -683,7 +576,6 @@ fn run_direct_step(
         outcomes.push(StepOutcome {
             pid,
             state: out.state,
-            outbound: if ctx.ship_outbound { out.outbound } else { Vec::new() },
             changed: out.changed,
             shuffled,
             compute_ns,
@@ -726,10 +618,9 @@ fn run_direct_step(
 
     let last = outcomes.len().saturating_sub(1);
     for (i, outcome) in outcomes.into_iter().enumerate() {
-        let StepOutcome { pid, state, outbound, changed, shuffled, compute_ns, exchange_ns } =
-            outcome;
+        let StepOutcome { pid, state, changed, shuffled, compute_ns, exchange_ns } = outcome;
         let records = state.len() as u64 + shuffled;
-        let reply = Message::StepDone { pid, superstep, state, outbound, changed, shuffled };
+        let reply = Message::StepDone { pid, superstep, state, changed, shuffled };
         let shuffle_start = Instant::now();
         let payload = encode_to_vec(&reply);
         let shuffle_ns = shuffle_start.elapsed().as_nanos() as u64;
@@ -791,108 +682,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_loads_a_program_and_steps_a_partition() {
-        let addr = spawn_local_worker();
+    /// Greet the worker, load `program` over `adjacency`, and install a
+    /// single-member membership: every shuffle message is a self-delivery
+    /// through the local inbox, so whole supersteps run without a second
+    /// process.
+    fn connect_sole_member(
+        addr: std::net::SocketAddr,
+        program: &str,
+        n: u64,
+        adjacency: Vec<(u64, AdjRows)>,
+    ) -> TcpStream {
         let mut conn = TcpStream::connect(addr).unwrap();
+        let parallelism = adjacency.len() as u64;
         write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
         assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-
-        // Partition 0 of a 2-vertex path graph, single partition.
-        write_frame(
-            &mut conn,
-            &Message::LoadProgram {
-                program: "cc".into(),
-                n: 2,
-                adjacency: vec![(0, vec![(0, vec![1]), (1, vec![0])])],
-            },
-            None,
-        )
-        .unwrap();
+        let load = Message::LoadProgram { program: program.into(), n, adjacency };
+        write_frame(&mut conn, &load, None).unwrap();
         assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let membership = Message::Membership {
+            epoch: 1,
+            parallelism,
+            data_timeout_ms: 2_000,
+            peers: vec![(0, u64::from(addr.port()))],
+        };
+        write_frame(&mut conn, &membership, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        conn
+    }
 
-        write_frame(
-            &mut conn,
-            &Message::RunStep {
-                pid: 0,
-                superstep: 1,
-                step: 1,
-                state: vec![(0, 0), (1, 1)],
-                inbound: vec![(0, 1, 0)],
-            },
-            None,
-        )
-        .unwrap();
+    #[test]
+    fn worker_loads_a_program_and_steps_a_partition() {
+        // Partition 0 of a 2-vertex path graph, single partition.
+        let addr = spawn_local_worker();
+        let mut conn =
+            connect_sole_member(addr, "cc", 2, vec![(0, vec![(0, vec![1]), (1, vec![0])])]);
+        let reset =
+            Message::StepReset { superstep: 1, step: 0, parts: vec![(0, vec![(0, 0), (1, 1)])] };
+        write_frame(&mut conn, &reset, None).unwrap();
         // The telemetry frame precedes the reply it describes.
         match read_frame(&mut conn, None).unwrap() {
             Message::TelemetryFrame { worker, superstep, seq, spans } => {
                 assert_eq!((worker, superstep, seq), (0, 1, 0));
                 let phases: Vec<u64> = spans.iter().map(|&(_, phase, _, _)| phase).collect();
-                assert_eq!(phases, vec![SPAN_PHASE_COMPUTE, SPAN_PHASE_SHUFFLE]);
+                assert_eq!(
+                    phases,
+                    vec![SPAN_PHASE_COMPUTE, SPAN_PHASE_SHUFFLE, SPAN_PHASE_EXCHANGE]
+                );
                 assert!(spans.iter().all(|&(pid, _, records, _)| pid == 0 && records > 0));
             }
             other => panic!("expected TelemetryFrame, got {other:?}"),
         }
         match read_frame(&mut conn, None).unwrap() {
-            Message::StepDone { pid, superstep, state, changed, shuffled, .. } => {
+            Message::StepDone { pid, superstep, state, changed, shuffled } => {
                 assert_eq!((pid, superstep), (0, 1));
-                assert_eq!(state, vec![(0, 0), (1, 0)], "label 0 propagates to vertex 1");
-                assert_eq!(changed, 1);
+                assert_eq!(state, vec![(0, 0), (1, 1)], "the re-seed keeps the pushed state");
+                assert_eq!(changed, 2, "the re-seed superstep never terminates the run");
                 assert_eq!(shuffled, 2, "both vertices broadcast to their neighbour");
             }
             other => panic!("expected StepDone, got {other:?}"),
         }
+        let go = Message::StepGo { superstep: 2, step: 1, inbound_superstep: 1, pids: vec![0] };
+        write_frame(&mut conn, &go, None).unwrap();
+        let (_, _, state, changed) = expect_step_done(&mut conn);
+        assert_eq!((state, changed), (vec![(0, 0), (1, 0)], 1), "label 0 propagates to vertex 1");
     }
 
     #[test]
     fn direct_mode_runs_supersteps_from_cached_state_and_self_delivery() {
-        // Single-member direct data plane: the worker owns both partitions
-        // of a 2-vertex path graph, so every shuffle message is a
-        // self-delivery through the local inbox — the full StepReset →
-        // StepGo cycle without a second process.
+        // The worker owns both partitions of a 2-vertex path graph: the full
+        // StepReset → StepGo → StepReset cycle through the local inbox.
         let addr = spawn_local_worker();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-        write_frame(
-            &mut conn,
-            &Message::LoadProgram {
-                program: "cc".into(),
-                n: 2,
-                adjacency: vec![(0, vec![(0, vec![1])]), (1, vec![(1, vec![0])])],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
-        write_frame(
-            &mut conn,
-            &Message::Membership {
-                epoch: 1,
-                parallelism: 2,
-                ship_outbound: 0,
-                data_timeout_ms: 2_000,
-                peers: vec![(0, u64::from(addr.port()))],
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let mut conn = connect_sole_member(
+            addr,
+            "cc",
+            2,
+            vec![(0, vec![(0, vec![1])]), (1, vec![(1, vec![0])])],
+        );
 
-        // Superstep 1 seeds state and message flow (step 0 semantics).
-        write_frame(
-            &mut conn,
-            &Message::StepReset {
-                superstep: 1,
-                step: 0,
-                inbound_superstep: NO_INBOUND,
-                use_wire_inbound: 0,
-                parts: vec![(0, vec![(0, 0)]), (1, vec![(1, 1)])],
-                inboxes: vec![],
-            },
-            None,
-        )
-        .unwrap();
+        // Superstep 1 installs state and seeds the message flow.
+        let reset = Message::StepReset {
+            superstep: 1,
+            step: 0,
+            parts: vec![(0, vec![(0, 0)]), (1, vec![(1, 1)])],
+        };
+        write_frame(&mut conn, &reset, None).unwrap();
         let (pid, superstep, state, _) = expect_step_done(&mut conn);
         assert_eq!((pid, superstep, state), (0, 1, vec![(0, 0)]));
         let (pid, _, state, _) = expect_step_done(&mut conn);
@@ -910,6 +783,28 @@ mod tests {
         assert_eq!((pid, state, changed), (0, vec![(0, 0)], 0));
         let (pid, _, state, changed) = expect_step_done(&mut conn);
         assert_eq!((pid, state, changed), (1, vec![(1, 0)], 1), "label propagated via data plane");
+
+        // A pushed state — here partition 1 compensated back to its own
+        // label — comes back unchanged from the re-seed, whatever the cached
+        // state and the unconsumed slot 2 held, and the superstep after it
+        // repairs the label from the re-emitted messages.
+        let pushed = vec![(0, vec![(0, 0)]), (1, vec![(1, 1)])];
+        write_frame(&mut conn, &Message::StepReset { superstep: 4, step: 0, parts: pushed }, None)
+            .unwrap();
+        let (pid, superstep, state, changed) = expect_step_done(&mut conn);
+        assert_eq!((pid, superstep, state, changed), (0, 4, vec![(0, 0)], 1));
+        let (pid, _, state, changed) = expect_step_done(&mut conn);
+        assert_eq!((pid, state, changed), (1, vec![(1, 1)], 1), "pushed state comes back as is");
+        write_frame(
+            &mut conn,
+            &Message::StepGo { superstep: 5, step: 1, inbound_superstep: 4, pids: vec![0, 1] },
+            None,
+        )
+        .unwrap();
+        let (_, _, state, _) = expect_step_done(&mut conn);
+        assert_eq!(state, vec![(0, 0)]);
+        let (_, _, state, changed) = expect_step_done(&mut conn);
+        assert_eq!((state, changed), (vec![(1, 0)], 1), "re-seeded messages repair the label");
     }
 
     #[test]
@@ -953,13 +848,20 @@ mod tests {
     fn step_before_load_is_rejected_with_a_connection_drop() {
         let addr = spawn_local_worker();
         let mut conn = TcpStream::connect(addr).unwrap();
-        write_frame(
-            &mut conn,
-            &Message::RunStep { pid: 0, superstep: 0, step: 0, state: vec![], inbound: vec![] },
-            None,
-        )
-        .unwrap();
-        // The handler thread errors out and closes the connection.
+        write_frame(&mut conn, &Message::Hello { worker: 0 }, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        let membership = Message::Membership {
+            epoch: 1,
+            parallelism: 1,
+            data_timeout_ms: 2_000,
+            peers: vec![(0, u64::from(addr.port()))],
+        };
+        write_frame(&mut conn, &membership, None).unwrap();
+        assert_eq!(read_frame(&mut conn, None).unwrap(), Message::Welcome);
+        write_frame(&mut conn, &Message::StepReset { superstep: 0, step: 0, parts: vec![] }, None)
+            .unwrap();
+        // No program is loaded: the handler thread errors out and closes
+        // the connection.
         let err = read_frame(&mut conn, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }

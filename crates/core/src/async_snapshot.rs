@@ -21,10 +21,10 @@
 //! the in-flight barrier, rolls back to the previous complete epoch (or
 //! restarts when none exists), and a fresh barrier fires on recomputation.
 //!
-//! The cluster coordinator observes barrier life-cycle points through a
-//! [`BarrierProbe`] to ship chunks to the owning workers (the barrier
-//! marker flowing through the topology) and to snapshot its in-flight
-//! channel state alongside.
+//! The cluster coordinator installs a [`ChunkSink`] to ship every
+//! persisted chunk to the owning worker (the barrier marker flowing
+//! through the topology). It captures no channel state: its re-seed
+//! superstep rebuilds the messages in flight from the restored state.
 
 use std::time::Instant;
 
@@ -35,39 +35,8 @@ use telemetry::{JournalEvent, SinkHandle};
 
 use crate::checkpoint::StableStore;
 
-/// Barrier life-cycle notification delivered to a [`BarrierProbe`].
-#[derive(Debug)]
-pub enum BarrierEvent<'a> {
-    /// A barrier fired: every partition's chunk was captured locally.
-    Started {
-        /// The iteration the snapshot belongs to.
-        epoch: u32,
-        /// Number of partition chunks captured.
-        partitions: usize,
-    },
-    /// One staged chunk reached stable storage.
-    ChunkPersisted {
-        /// The epoch the chunk belongs to.
-        epoch: u32,
-        /// The partition the chunk captures.
-        pid: PartitionId,
-        /// The encoded chunk (for shipping to the owning worker).
-        chunk: &'a [u8],
-    },
-    /// Every chunk of the epoch is durable; it is now the restore point.
-    Completed {
-        /// The completed epoch.
-        epoch: u32,
-    },
-    /// A failure struck mid-flight; the partial epoch was discarded.
-    Aborted {
-        /// The discarded epoch.
-        epoch: u32,
-    },
-}
-
-/// Observer of barrier life-cycle points (chunk shipping, channel capture).
-pub type BarrierProbe = Box<dyn FnMut(BarrierEvent<'_>)>;
+/// Receives every chunk as it reaches stable storage: `(epoch, pid, chunk)`.
+pub type ChunkSink = Box<dyn FnMut(u32, PartitionId, &[u8])>;
 
 /// One barrier whose chunks are still being written to stable storage.
 struct InFlight {
@@ -100,7 +69,7 @@ pub struct AsyncSnapshotHandler<St> {
     store: St,
     interval: u32,
     telemetry: SinkHandle,
-    probe: Option<BarrierProbe>,
+    chunk_sink: Option<ChunkSink>,
     in_flight: Option<InFlight>,
     complete: Option<Complete>,
 }
@@ -117,7 +86,7 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
             store,
             interval,
             telemetry: SinkHandle::disabled(),
-            probe: None,
+            chunk_sink: None,
             in_flight: None,
             complete: None,
         }
@@ -129,10 +98,10 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
         self
     }
 
-    /// Observe barrier life-cycle points (the cluster coordinator ships
-    /// chunks to workers and captures channel state from here).
-    pub fn with_probe(mut self, probe: BarrierProbe) -> Self {
-        self.probe = Some(probe);
+    /// Hand every persisted chunk to `sink` (the cluster coordinator ships
+    /// chunks to their owning workers from here).
+    pub fn with_chunk_sink(mut self, sink: ChunkSink) -> Self {
+        self.chunk_sink = Some(sink);
         self
     }
 
@@ -149,12 +118,6 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
     /// Borrow the underlying store (e.g. for byte accounting).
     pub fn store(&self) -> &St {
         &self.store
-    }
-
-    fn notify(&mut self, event: BarrierEvent<'_>) {
-        if let Some(probe) = &mut self.probe {
-            probe(event);
-        }
     }
 
     /// Persist the next pending chunk, completing the epoch when it was the
@@ -181,7 +144,6 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
             let chunks: Vec<Vec<u8>> = (0..partitions).map(&capture).collect();
             self.telemetry
                 .emit(|| JournalEvent::SnapshotBarrierStarted { epoch: iteration, partitions });
-            self.notify(BarrierEvent::Started { epoch: iteration, partitions });
             self.in_flight = Some(InFlight { epoch: iteration, chunks, next: 0 });
             persisted += self.persist_next_chunk(kind)?;
         }
@@ -199,11 +161,12 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
         let (epoch, pid) = (in_flight.epoch, in_flight.next);
         in_flight.next += 1;
         let is_last = in_flight.next == in_flight.chunks.len();
-        let chunk = std::mem::take(&mut in_flight.chunks[pid]);
-        self.store.put(&chunk_key(kind, epoch, pid), &chunk)?;
-        self.notify(BarrierEvent::ChunkPersisted { epoch, pid, chunk: &chunk });
+        let chunk = &in_flight.chunks[pid];
+        self.store.put(&chunk_key(kind, epoch, pid), chunk)?;
+        if let Some(sink) = &mut self.chunk_sink {
+            sink(epoch, pid, chunk);
+        }
         let written = chunk.len() as u64;
-        self.in_flight.as_mut().expect("in-flight barrier present").chunks[pid] = chunk;
         if is_last {
             let done = self.in_flight.take().expect("in-flight barrier present");
             let bytes: u64 = done.chunks.iter().map(|c| c.len() as u64).sum();
@@ -218,7 +181,6 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
                 partitions,
                 bytes,
             });
-            self.notify(BarrierEvent::Completed { epoch });
         }
         Ok(written)
     }
@@ -230,7 +192,6 @@ impl<St: StableStore> AsyncSnapshotHandler<St> {
             for pid in 0..in_flight.next {
                 self.store.remove(&chunk_key(kind, in_flight.epoch, pid))?;
             }
-            self.notify(BarrierEvent::Aborted { epoch: in_flight.epoch });
         }
         Ok(())
     }
@@ -392,43 +353,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_the_barrier_life_cycle_in_order() {
+    fn chunk_sink_sees_every_persisted_chunk_in_order() {
         let seen: Rc<RefCell<Vec<String>>> = Rc::default();
         let log = seen.clone();
-        let mut handler =
-            AsyncSnapshotHandler::new(MemoryStore::new(), 4).with_probe(Box::new(move |event| {
-                log.borrow_mut().push(match event {
-                    BarrierEvent::Started { epoch, partitions } => {
-                        format!("start:{epoch}:{partitions}")
-                    }
-                    BarrierEvent::ChunkPersisted { epoch, pid, .. } => {
-                        format!("chunk:{epoch}:{pid}")
-                    }
-                    BarrierEvent::Completed { epoch } => format!("done:{epoch}"),
-                    BarrierEvent::Aborted { epoch } => format!("abort:{epoch}"),
-                });
-            }));
+        let mut handler = AsyncSnapshotHandler::new(MemoryStore::new(), 4).with_chunk_sink(
+            Box::new(move |epoch, pid, chunk| {
+                assert!(!chunk.is_empty(), "chunk {epoch}:{pid} is empty");
+                log.borrow_mut().push(format!("{epoch}:{pid}"));
+            }),
+        );
         for iteration in 0..5 {
             handler.after_superstep(iteration, &state(u64::from(iteration))).unwrap();
         }
         let mut broken = state(5);
         broken.clear_partition(0);
         handler.on_failure(5, &[0], &mut broken).unwrap();
-        assert_eq!(
-            *seen.borrow(),
-            vec![
-                "start:0:4",
-                "chunk:0:0",
-                "chunk:0:1",
-                "chunk:0:2",
-                "chunk:0:3",
-                "done:0",
-                "start:4:4",
-                "chunk:4:0",
-                "abort:4",
-            ],
-            "every chunk is reported, completion after the final chunk, partials via Aborted"
-        );
+        handler.after_superstep(1, &state(1)).unwrap();
+        // Epoch 0 persists one chunk per superstep, epoch 4 gets one chunk
+        // out before the failure aborts it, and nothing persists after it.
+        assert_eq!(*seen.borrow(), vec!["0:0", "0:1", "0:2", "0:3", "4:0"]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod optimistic;
 pub mod scenario;
 pub mod strategy;
 
-pub use async_snapshot::{AsyncSnapshotHandler, BarrierEvent, BarrierProbe};
+pub use async_snapshot::{AsyncSnapshotHandler, ChunkSink};
 pub use checkpoint::{CheckpointHandler, CostModel, DiskStore, MemoryStore, StableStore};
 pub use compensation::Compensation;
 pub use dataflow::ft::RestartHandler;

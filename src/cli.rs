@@ -144,9 +144,6 @@ pub struct Invocation {
     pub heartbeat_timeout_ms: Option<u64>,
     /// With `--cluster`: per-superstep control read timeout in milliseconds.
     pub step_timeout_ms: Option<u64>,
-    /// With `--cluster`: which data plane ships shuffle traffic. `None`
-    /// keeps the cluster default (direct worker-to-worker exchange).
-    pub data_plane: Option<cluster::DataPlaneMode>,
 }
 
 /// Default barrier interval of a bare `--strategy async-snapshot`.
@@ -370,7 +367,6 @@ pub const RUN_FLAGS: &[&str] = &[
     "--heartbeat-interval-ms",
     "--heartbeat-timeout-ms",
     "--step-timeout-ms",
-    "--data-plane",
 ];
 
 /// Usage text.
@@ -398,11 +394,8 @@ OPTIONS:
     --journal <PATH>      capture telemetry: write the event journal there,
                           plus spans and report sidecars (inspect reads them)
     --cluster <N>         run on N real worker processes over loopback TCP
-                          (cc and pagerank only; spawns `optirec worker`)
-    --data-plane <MODE>   with --cluster: direct (workers shuffle peer to
-                          peer over their own connections) or coordinator
-                          (all traffic funnels through the coordinator, the
-                          pre-direct baseline)   [direct]
+                          (cc and pagerank only; spawns `optirec worker`;
+                          workers shuffle peer to peer)
     --kill <S:W>          with --cluster: SIGKILL worker W while superstep S
                           is in flight (repeatable; composes with --chaos)
     --scale <S:N>         with --cluster: planned rescale to N workers at
@@ -653,7 +646,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
         heartbeat_interval_ms: None,
         heartbeat_timeout_ms: None,
         step_timeout_ms: None,
-        data_plane: None,
     };
     while let Some(flag) = iter.next() {
         let mut value = || iter.next().ok_or_else(|| format!("flag {flag} needs a value")).cloned();
@@ -700,17 +692,6 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
                 invocation.step_timeout_ms =
                     Some(value()?.parse().map_err(|_| "invalid step timeout".to_string())?);
             }
-            "--data-plane" => {
-                invocation.data_plane = Some(match value()?.as_str() {
-                    "direct" => cluster::DataPlaneMode::Direct,
-                    "coordinator" => cluster::DataPlaneMode::Coordinator,
-                    other => {
-                        return Err(format!(
-                            "unknown data plane {other:?}; expected direct | coordinator"
-                        ))
-                    }
-                });
-            }
             other => return Err(format!("{}\n\n{}", unknown_flag(other, RUN_FLAGS), usage())),
         }
     }
@@ -723,10 +704,9 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     if invocation.cluster.is_none()
         && (invocation.heartbeat_interval_ms.is_some()
             || invocation.heartbeat_timeout_ms.is_some()
-            || invocation.step_timeout_ms.is_some()
-            || invocation.data_plane.is_some())
+            || invocation.step_timeout_ms.is_some())
     {
-        return Err("heartbeat/step timeouts and --data-plane only apply to --cluster runs".into());
+        return Err("heartbeat/step timeouts only apply to --cluster runs".into());
     }
     if let Some(workers) = invocation.cluster {
         match invocation.strategy {
@@ -1081,9 +1061,6 @@ pub fn cluster_config(invocation: &Invocation, workers: usize) -> cluster::Clust
         }
         Strategy::Restart => cfg.strategy = cluster::ClusterStrategy::Restart,
         _ => {}
-    }
-    if let Some(mode) = invocation.data_plane {
-        cfg = cfg.with_data_plane(mode);
     }
     cfg
 }
@@ -1467,27 +1444,14 @@ mod tests {
     }
 
     #[test]
-    fn data_plane_flag_parses_and_cross_validates() {
-        // The direct data plane is the default; the flag can pin either mode.
-        let invocation = parse_args(&args(&["cc", "--cluster", "2"])).unwrap();
-        assert_eq!(invocation.data_plane, None);
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Direct);
-
-        let invocation =
-            parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "coordinator"])).unwrap();
-        assert_eq!(invocation.data_plane, Some(cluster::DataPlaneMode::Coordinator));
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Coordinator);
-
-        let invocation =
-            parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "direct"])).unwrap();
-        assert_eq!(cluster_config(&invocation, 2).data_plane, cluster::DataPlaneMode::Direct);
-
-        // Nonsense modes and --data-plane without --cluster are rejected.
-        let err = parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "carrier-pigeon"]))
+    fn the_retired_data_plane_flag_is_an_unknown_flag() {
+        // Workers always shuffle peer to peer; the coordinator funnel and
+        // its `--data-plane` switch are gone.
+        let err = parse_args(&args(&["cc", "--cluster", "2", "--data-plane", "coordinator"]))
             .unwrap_err();
-        assert!(err.contains("direct | coordinator"), "{err}");
-        let err = parse_args(&args(&["cc", "--data-plane", "direct"])).unwrap_err();
-        assert!(err.contains("--cluster"), "{err}");
+        assert!(err.contains("--data-plane"), "{err}");
+        assert!(err.contains("--step-timeout-ms"), "lists the valid flags: {err}");
+        assert!(!usage().contains("--data-plane"), "usage still documents the funnel");
     }
 
     #[test]

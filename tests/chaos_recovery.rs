@@ -157,16 +157,16 @@ proptest! {
     }
 }
 
-// ---- direct vs coordinator-routed data plane, multi-process ------------
+// ---- seeded kills on real worker processes, against `run_local` ---------
 //
-// The same seeded kill plan drives one run per data-plane mode per
-// strategy, on real `optirec worker` processes. Whatever the chaos does,
-// the two data planes must land on the same answer: bitwise for connected
+// The same seeded kill plan drives one cluster run per strategy on real
+// `optirec worker` processes. Whatever the kill hits, every strategy must
+// land on the failure-free single-process answer: bitwise for connected
 // components, 1e-6 for PageRank (optimistic compensation legitimately
-// takes a different trajectory per mode, but both terminate within the
-// 1e-9 epsilon of the unique fixed point).
+// takes a different trajectory, but terminates within the 1e-9 epsilon of
+// the unique fixed point).
 
-use cluster::{run_cluster, ClusterConfig, ClusterStrategy, DataPlaneMode, KillPlan};
+use cluster::{run_cluster, run_local, ClusterConfig, ClusterStrategy, KillPlan};
 use telemetry::SinkHandle;
 
 fn cluster_strategies(interval: u32) -> Vec<ClusterStrategy> {
@@ -178,16 +178,8 @@ fn cluster_strategies(interval: u32) -> Vec<ClusterStrategy> {
     ]
 }
 
-fn cluster_cfg(
-    strategy: ClusterStrategy,
-    mode: DataPlaneMode,
-    kill: KillPlan,
-    max_iterations: u32,
-) -> ClusterConfig {
-    let mut cfg = ClusterConfig::new(2, 4, max_iterations)
-        .with_strategy(strategy)
-        .with_data_plane(mode)
-        .with_kill(kill);
+fn cluster_cfg(strategy: ClusterStrategy, kill: KillPlan, max_iterations: u32) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(2, 4, max_iterations).with_strategy(strategy).with_kill(kill);
     cfg.worker_cmd = vec![env!("CARGO_BIN_EXE_optirec").to_string(), "worker".to_string()];
     cfg.heartbeat_interval = std::time::Duration::from_millis(20);
     cfg.heartbeat_timeout = std::time::Duration::from_millis(500);
@@ -217,70 +209,50 @@ fn cluster_pagerank_graph() -> Graph {
 }
 
 proptest! {
-    // Each case spawns 16 worker processes (4 strategies x 2 modes x 2
-    // workers); keep the case count low.
+    // Each case spawns 8 worker processes (4 strategies x 2 workers); keep
+    // the case count low.
     #![proptest_config(ProptestConfig { cases: 2, .. ProptestConfig::default() })]
 
     #[test]
-    fn direct_and_funneled_cluster_cc_agree_bitwise_under_seeded_kills(
+    fn cluster_cc_matches_run_local_bitwise_under_seeded_kills(
         superstep in 1u32..5,
         worker in 0usize..2,
         interval in 1u32..3,
     ) {
         let graph = cluster_cc_graph();
+        let baseline = run_local("cc", &graph, 4, 60, SinkHandle::disabled()).unwrap();
         let kill = KillPlan { superstep, worker };
         for strategy in cluster_strategies(interval) {
-            let direct = run_cluster(
-                "cc",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Direct, kill, 60),
-                SinkHandle::disabled(),
-            ).unwrap();
-            let funnel = run_cluster(
-                "cc",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Coordinator, kill, 60),
-                SinkHandle::disabled(),
-            ).unwrap();
-            prop_assert!(direct.stats.converged, "{strategy:?}: direct did not converge");
-            prop_assert!(funnel.stats.converged, "{strategy:?}: funnel did not converge");
+            let cfg = cluster_cfg(strategy, kill, 60);
+            let run = run_cluster("cc", &graph, cfg, SinkHandle::disabled()).unwrap();
+            prop_assert!(run.stats.converged, "{strategy:?}: did not converge");
             prop_assert_eq!(
-                &direct.values,
-                &funnel.values,
-                "{:?}: data planes diverged under kill@{}:{}",
+                &run.values,
+                &baseline.values,
+                "{:?}: diverged from run_local under kill@{}:{}",
                 strategy, superstep, worker
             );
         }
     }
 
     #[test]
-    fn direct_and_funneled_cluster_pagerank_agree_under_seeded_kills(
+    fn cluster_pagerank_matches_run_local_under_seeded_kills(
         superstep in 1u32..5,
         worker in 0usize..2,
         interval in 1u32..3,
     ) {
         let graph = cluster_pagerank_graph();
+        let baseline = run_local("pagerank", &graph, 4, 300, SinkHandle::disabled()).unwrap();
         let kill = KillPlan { superstep, worker };
         for strategy in cluster_strategies(interval) {
-            let direct = run_cluster(
-                "pagerank",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Direct, kill, 300),
-                SinkHandle::disabled(),
-            ).unwrap();
-            let funnel = run_cluster(
-                "pagerank",
-                &graph,
-                cluster_cfg(strategy, DataPlaneMode::Coordinator, kill, 300),
-                SinkHandle::disabled(),
-            ).unwrap();
-            prop_assert!(direct.stats.converged, "{strategy:?}: direct did not converge");
-            prop_assert!(funnel.stats.converged, "{strategy:?}: funnel did not converge");
-            for (&(v, a), &(_, b)) in direct.values.iter().zip(&funnel.values) {
+            let cfg = cluster_cfg(strategy, kill, 300);
+            let run = run_cluster("pagerank", &graph, cfg, SinkHandle::disabled()).unwrap();
+            prop_assert!(run.stats.converged, "{strategy:?}: did not converge");
+            for (&(v, a), &(_, b)) in run.values.iter().zip(&baseline.values) {
                 let (a, b) = (f64::from_bits(a), f64::from_bits(b));
                 prop_assert!(
                     (a - b).abs() < 1e-6,
-                    "{:?}: vertex {} rank {} (direct) vs {} (funnel)",
+                    "{:?}: vertex {} rank {} (cluster) vs {} (run_local)",
                     strategy, v, a, b
                 );
             }

@@ -101,6 +101,16 @@ fn pagerank_rescale_stays_within_tolerance_of_the_static_run() {
         let (a, b) = (f64::from_bits(a), f64::from_bits(b));
         assert!((a - b).abs() < 1e-6, "vertex {v}: {a} vs baseline {b}");
     }
+    // A rescale re-seeds the messages in flight from the committed ranks:
+    // it costs at most one superstep per scale event. Stepping the moved
+    // partitions from an empty inbound instead overwrites their ranks with
+    // the teleport term and restarts the power iteration.
+    assert!(
+        elastic.stats.supersteps() <= baseline.stats.supersteps() + 2,
+        "two rescales took {} supersteps against the static run's {}",
+        elastic.stats.supersteps(),
+        baseline.stats.supersteps()
+    );
 }
 
 #[test]
